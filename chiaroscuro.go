@@ -110,7 +110,7 @@ type Config struct {
 	// max(64, 4·GOMAXPROCS).
 	Workers int
 	// Packed packs multiple coordinates of the encrypted side into each
-	// ciphertext (slot packing): encrypts, gossip halvings, partial
+	// ciphertext (slot packing): encrypts, gossip emit refreshes, partial
 	// decryptions and wire bytes all shrink by the packing factor
 	// (~8–16× at a 1024-bit key). On the accounted backend, packed and
 	// unpacked runs disclose bit-identical centroids; see docs/CRYPTO.md
@@ -246,10 +246,14 @@ type NetworkCost struct {
 }
 
 // CryptoOps counts homomorphic operations across all participants.
+// Halvings counts gossip emit refreshes (one rerandomization per emitted
+// ciphertext — the halving itself is a public exponent bump) and
+// Squarings the ciphertext squarings that align push-sum exponents.
 type CryptoOps struct {
 	Encrypts        int64
 	Adds            int64
 	Halvings        int64
+	Squarings       int64
 	PartialDecrypts int64
 	Combines        int64
 	// CombineCtxHits counts combines whose responder-set plan (Lagrange
@@ -362,6 +366,7 @@ func resultFromTrace(trace *core.Trace) *Result {
 			Encrypts:         trace.Ops.Encrypts,
 			Adds:             trace.Ops.Adds,
 			Halvings:         trace.Ops.Halvings,
+			Squarings:        trace.Ops.Squarings,
 			PartialDecrypts:  trace.Ops.PartialDecrypts,
 			Combines:         trace.Ops.Combines,
 			CombineCtxHits:   trace.Ops.CombineCtxHits,

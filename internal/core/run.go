@@ -25,7 +25,7 @@ type poolSizer interface {
 
 // poolBurst sizes the randomizer pool from the run's concurrency and the
 // fused encrypted-vector length: each in-flight activation consumes up to
-// vectorLen randomizers (one rerandomization per halved ciphertext), and
+// vectorLen randomizers (one rerandomization per emitted ciphertext), and
 // up to the effective worker count of activations run concurrently in
 // the sharded engine (the sequential and async engines are bounded by
 // GOMAXPROCS). The requested Workers is clamped by the same rule the
@@ -331,10 +331,10 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 	if err != nil {
 		return nil, err
 	}
-	preScale := p.preScaleBits()
+	budget := p.expBudget()
 	coordBound, noiseBound := p.noiseEnvelope(dim, epsSched)
 	plainMod := suite.PlainModulus()
-	if err := checkHeadroom(plainMod, n, dim, coordBound, noiseBound, p.FracBits, preScale); err != nil {
+	if err := checkHeadroom(plainMod, n, dim, coordBound, noiseBound, p.FracBits, budget); err != nil {
 		return nil, err
 	}
 
@@ -348,7 +348,7 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 	sideCiphers := sideLen
 	var layout *fixedpoint.SlotLayout
 	if p.Packed {
-		layout, err = packedLayout(plainMod.BitLen()-1, n, coordBound+noiseBound, p.FracBits, preScale)
+		layout, err = packedLayout(plainMod.BitLen()-1, n, coordBound+noiseBound, p.FracBits, budget)
 		if err != nil {
 			return nil, err
 		}
@@ -356,7 +356,7 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 	}
 	// Size the Damgård–Jurik randomizer pool for the run's actual burst
 	// before the suite performs its first encryption: every activation in
-	// the gossip phase halves-and-rerandomizes the full fused vector,
+	// the gossip phase rerandomizes the full fused vector it emits,
 	// concurrently across shard workers, so the default capacity starves
 	// wide runs and over-provisions packed ones.
 	if ps, ok := suite.(poolSizer); ok {
@@ -404,7 +404,7 @@ func prepareRunOn(seriesMat *vecpool.Matrix, p Params, reuseSuite CipherSuite) (
 		codec:         codec,
 		plainMod:      plainMod,
 		halfMod:       new(big.Int).Rsh(plainMod, 1),
-		preScale:      preScale,
+		expBudget:     int(budget),
 		epsSched:      epsSched,
 		noiseBound:    noiseBound,
 		vecLen:        p.K * (dim + 1),

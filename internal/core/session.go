@@ -446,6 +446,7 @@ func opCountsMinus(a, b OpCounts) OpCounts {
 	a.Encrypts -= b.Encrypts
 	a.Adds -= b.Adds
 	a.Halvings -= b.Halvings
+	a.Squarings -= b.Squarings
 	a.PartialDecrypts -= b.PartialDecrypts
 	a.Combines -= b.Combines
 	a.CombineCtxHits -= b.CombineCtxHits

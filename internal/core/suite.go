@@ -37,9 +37,16 @@ type Partial struct {
 // OpCounts tallies homomorphic operations, the basis of the cost
 // projection in the accounted backend.
 type OpCounts struct {
-	Encrypts        int64
-	Adds            int64
-	Halvings        int64
+	Encrypts int64
+	Adds     int64
+	// Halvings counts gossip emit refreshes, one per emitted cipher (a
+	// pooled rerandomization on the real backend). The halving itself is
+	// the public exponent bump of dyadic push-sum and costs nothing.
+	Halvings int64
+	// Squarings counts exponent-alignment doublings, one per cipher per
+	// unit of exponent difference (a ciphertext squaring on the real
+	// backend).
+	Squarings       int64
 	PartialDecrypts int64
 	Combines        int64
 	// CombineCtxHits counts responder-set combine plans served from the
@@ -90,9 +97,13 @@ type CipherSuite interface {
 	Encrypt(m *big.Int) (Cipher, error)
 	// Add returns a Cipher of the sum of the two plaintexts.
 	Add(a, b Cipher) (Cipher, error)
-	// Halve returns a Cipher of the plaintext multiplied by 2^{-1} mod M
-	// (the gossip halving primitive).
-	Halve(c Cipher) (Cipher, error)
+	// Refresh returns a fresh Cipher of the same plaintext that shares
+	// no storage with c — the emit refresh that keeps gossip hops
+	// unlinkable. Counted in OpCounts.Halvings.
+	Refresh(c Cipher) (Cipher, error)
+	// Double returns a Cipher of the plaintext multiplied by 2^k — the
+	// push-sum exponent alignment. Counted k times in OpCounts.Squarings.
+	Double(c Cipher, k uint) (Cipher, error)
 
 	// Parties and Threshold describe the key sharing: Threshold distinct
 	// partial decryptions open a ciphertext.

@@ -22,7 +22,7 @@ import (
 // The suite runs entirely on the package's precomputed fast paths
 // (docs/CRYPTO.md): encryption and noise-share encryption draw
 // randomizers from a shared RandomizerPool over a fixed-base table,
-// gossip halving rerandomizes from the same pool, partial decryptions
+// the gossip emit refresh rerandomizes from the same pool, partial decryptions
 // go through the dealer-side CRT context the threshold key carries, and
 // share combination is one batched multi-exponentiation. The
 // EncContext's table is immutable and the pool is channel-based, so all
@@ -33,7 +33,6 @@ import (
 type djSuite struct {
 	tk      *damgardjurik.ThresholdKey
 	shares  []damgardjurik.KeyShare
-	inv2    *big.Int
 	ctMod   *big.Int // cached n^{s+1} for ValidateCipher range checks
 	enc     *damgardjurik.EncContext
 	pool    *damgardjurik.RandomizerPool
@@ -42,6 +41,7 @@ type djSuite struct {
 	encrypts        atomic.Int64
 	adds            atomic.Int64
 	halvings        atomic.Int64
+	squarings       atomic.Int64
 	partialDecrypts atomic.Int64
 	combines        atomic.Int64
 }
@@ -81,17 +81,13 @@ func NewDamgardJurikSuiteFreshKey(modulusBits, degree, parties, threshold int) (
 }
 
 func newDJSuite(tk *damgardjurik.ThresholdKey, shares []damgardjurik.KeyShare) (CipherSuite, error) {
-	inv2 := new(big.Int).ModInverse(big.NewInt(2), tk.PlaintextModulus())
-	if inv2 == nil {
-		return nil, errors.New("core: 2 not invertible in plaintext ring")
-	}
 	enc, err := tk.NewEncContext(nil)
 	if err != nil {
 		return nil, err
 	}
 	pool := damgardjurik.NewRandomizerPool(enc, djPoolCapacity, nil)
 	return &djSuite{
-		tk: tk, shares: shares, inv2: inv2, ctMod: tk.CiphertextModulus(),
+		tk: tk, shares: shares, ctMod: tk.CiphertextModulus(),
 		enc: enc, pool: pool, poolCap: djPoolCapacity,
 	}, nil
 }
@@ -162,22 +158,27 @@ func (s *djSuite) Add(a, b Cipher) (Cipher, error) {
 	return s.tk.Add(ca, cb)
 }
 
-// Halve implements CipherSuite: homomorphic multiplication by 2^{-1}
-// mod n^s, followed by re-randomization. The refresh matters because
-// halved shares travel to random peers: without it, an observer could
-// trace a contribution across gossip hops by recognizing the
-// deterministic c^(2^-1) relation between ciphertexts.
-func (s *djSuite) Halve(c Cipher) (Cipher, error) {
+// Refresh implements CipherSuite: a pooled rerandomization. It matters
+// because emitted shares travel to random peers: without it, an
+// observer could trace a contribution across gossip hops by recognizing
+// the same ciphertext on both sides of a node.
+func (s *djSuite) Refresh(c Cipher) (Cipher, error) {
 	cc, ok := c.(*big.Int)
 	if !ok {
 		return nil, errors.New("core: foreign cipher type in damgard-jurik suite")
 	}
 	s.halvings.Add(1)
-	h, err := s.tk.ScalarMul(cc, s.inv2)
-	if err != nil {
-		return nil, err
+	return s.pool.Rerandomize(cc)
+}
+
+// Double implements CipherSuite: c^(2^k) mod n^{s+1}, k squarings.
+func (s *djSuite) Double(c Cipher, k uint) (Cipher, error) {
+	cc, ok := c.(*big.Int)
+	if !ok {
+		return nil, errors.New("core: foreign cipher type in damgard-jurik suite")
 	}
-	return s.pool.Rerandomize(h)
+	s.squarings.Add(int64(k))
+	return s.tk.ScalarMul(cc, new(big.Int).Lsh(big.NewInt(1), k))
 }
 
 // Parties implements CipherSuite.
@@ -321,6 +322,7 @@ func (s *djSuite) Counts() OpCounts {
 		Encrypts:        s.encrypts.Load(),
 		Adds:            s.adds.Load(),
 		Halvings:        s.halvings.Load(),
+		Squarings:       s.squarings.Load(),
 		PartialDecrypts: s.partialDecrypts.Load(),
 		Combines:        s.combines.Load(),
 		CombineCtxHits:  s.tk.CombineContextHits(),

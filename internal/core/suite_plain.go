@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"sync/atomic"
 
+	"chiaroscuro/internal/gossip"
 	"chiaroscuro/internal/vecpool"
 )
 
@@ -18,7 +19,6 @@ import (
 // enabled or not (Sec. III.B, point 1).
 type plainSuite struct {
 	m         *big.Int
-	inv2      *big.Int
 	parties   int
 	threshold int
 	// cipherBytes mimics the real backend's ciphertext size for the
@@ -28,6 +28,7 @@ type plainSuite struct {
 	encrypts        atomic.Int64
 	adds            atomic.Int64
 	halvings        atomic.Int64
+	squarings       atomic.Int64
 	partialDecrypts atomic.Int64
 	combines        atomic.Int64
 }
@@ -61,13 +62,8 @@ func NewPlainSuite(modulusBits, degree, parties, threshold int) (CipherSuite, er
 	// An odd modulus: 2^ringBits - 1.
 	m := new(big.Int).Lsh(big.NewInt(1), uint(ringBits))
 	m.Sub(m, big.NewInt(1))
-	inv2 := new(big.Int).ModInverse(big.NewInt(2), m)
-	if inv2 == nil {
-		return nil, errors.New("core: 2 not invertible in plaintext ring")
-	}
 	return &plainSuite{
 		m:           m,
-		inv2:        inv2,
 		parties:     parties,
 		threshold:   threshold,
 		cipherBytes: modulusBits * (degree + 1) / 8,
@@ -136,24 +132,27 @@ func (s *plainSuite) AddAll(acc Cipher, vs []Cipher) (Cipher, error) {
 	return plainCipher{v: out}, nil
 }
 
-// Halve implements CipherSuite: multiplication by 2^{-1} mod M. For odd
-// M this has a division-free form — even residues shift right, odd
-// residues become (v+M)/2 (exact, since v+M is even) — which is
-// arithmetically identical to out = v·inv2 mod M but an order of
-// magnitude cheaper on the gossip hot path.
-func (s *plainSuite) Halve(c Cipher) (Cipher, error) {
+// Refresh implements CipherSuite: the accounted stand-in for the real
+// backend's rerandomization — a fresh copy of the residue, counted.
+func (s *plainSuite) Refresh(c Cipher) (Cipher, error) {
 	cc, ok := c.(plainCipher)
 	if !ok {
 		return nil, errors.New("core: foreign cipher type in plain suite")
 	}
 	s.halvings.Add(1)
-	out := new(big.Int)
-	if cc.v.Bit(0) == 0 {
-		out.Rsh(cc.v, 1)
-	} else {
-		out.Add(cc.v, s.m)
-		out.Rsh(out, 1)
+	return plainCipher{v: new(big.Int).Set(cc.v)}, nil
+}
+
+// Double implements CipherSuite: 2^k·v mod M, computed division-free
+// (gossip.DoubleModInPlace) on a fresh copy of the residue.
+func (s *plainSuite) Double(c Cipher, k uint) (Cipher, error) {
+	cc, ok := c.(plainCipher)
+	if !ok {
+		return nil, errors.New("core: foreign cipher type in plain suite")
 	}
+	s.squarings.Add(int64(k))
+	out := new(big.Int).Set(cc.v)
+	gossip.DoubleModInPlace(out, s.m, k)
 	return plainCipher{v: out}, nil
 }
 
@@ -299,6 +298,7 @@ func (s *plainSuite) Counts() OpCounts {
 		Encrypts:        s.encrypts.Load(),
 		Adds:            s.adds.Load(),
 		Halvings:        s.halvings.Load(),
+		Squarings:       s.squarings.Load(),
 		PartialDecrypts: s.partialDecrypts.Load(),
 		Combines:        s.combines.Load(),
 	}
@@ -307,7 +307,7 @@ func (s *plainSuite) Counts() OpCounts {
 // --- In-place extension (the zero-allocation gossip hot path) --------------
 //
 // The methods below implement mutCipherSuite: value-identical variants
-// of Encrypt/Add/AddAll/Halve that write into caller-owned scratch
+// of Encrypt/Add/AddAll/Refresh/Double that write into caller-owned scratch
 // ciphers from NewScratchVector instead of allocating results. They
 // count operations exactly like their immutable counterparts, so
 // OpCounts (and every trajectory) is unchanged whichever path runs.
@@ -349,18 +349,26 @@ func (s *plainSuite) EncryptInto(dst Cipher, m *big.Int) error {
 	return nil
 }
 
-// HalveCipherInPlace implements mutCipherSuite: Halve's division-free
-// form mutating c's residue.
-func (s *plainSuite) HalveCipherInPlace(c Cipher) error {
+// RefreshCipherInPlace implements mutCipherSuite: the accounted emit
+// refresh of a message-owned residue — nothing to compute, only the
+// operation to count.
+func (s *plainSuite) RefreshCipherInPlace(c Cipher) error {
+	if _, ok := c.(plainCipher); !ok {
+		return errors.New("core: foreign cipher type in plain suite")
+	}
+	s.halvings.Add(1)
+	return nil
+}
+
+// DoubleCipherInPlace implements mutCipherSuite: Double in c's own
+// storage.
+func (s *plainSuite) DoubleCipherInPlace(c Cipher, k uint) error {
 	cc, ok := c.(plainCipher)
 	if !ok {
 		return errors.New("core: foreign cipher type in plain suite")
 	}
-	s.halvings.Add(1)
-	if cc.v.Bit(0) != 0 {
-		cc.v.Add(cc.v, s.m)
-	}
-	cc.v.Rsh(cc.v, 1)
+	s.squarings.Add(int64(k))
+	gossip.DoubleModInPlace(cc.v, s.m, k)
 	return nil
 }
 

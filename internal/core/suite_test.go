@@ -64,21 +64,40 @@ func TestSuitesHomomorphicAdd(t *testing.T) {
 	}
 }
 
-func TestSuitesHalveIsExactRingHalf(t *testing.T) {
+// TestSuitesDoubleIsExactRingDouble pins the alignment primitive:
+// Double(c, k) opens to 2^k·v mod M — including past the modulus, where
+// the ring wraps — and agrees with k chained additions c+c; Refresh
+// keeps the plaintext.
+func TestSuitesDoubleIsExactRingDouble(t *testing.T) {
 	for name, s := range suites(t) {
-		for _, v := range []int64{8, 7, 0, 1} {
-			c, _ := s.Encrypt(big.NewInt(v))
-			h, err := s.Halve(c)
+		M := s.PlainModulus()
+		for _, v := range []*big.Int{big.NewInt(8), big.NewInt(7), big.NewInt(0), new(big.Int).Sub(M, big.NewInt(3))} {
+			c, _ := s.Encrypt(v)
+			for _, k := range []uint{1, 3, 40} {
+				d, err := s.Double(c, k)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				want := new(big.Int).Lsh(v, k)
+				want.Mod(want, M)
+				if got := decryptVia(t, s, d, []int{1, 2, 3}); got.Cmp(want) != 0 {
+					t.Fatalf("%s: double(%v, %d) = %v, want %v", name, v, k, got, want)
+				}
+			}
+			chained := c
+			for i := 0; i < 3; i++ {
+				chained, _ = s.Add(chained, chained)
+			}
+			d, _ := s.Double(c, 3)
+			if a, b := decryptVia(t, s, chained, []int{1, 2, 3}), decryptVia(t, s, d, []int{3, 4, 5}); a.Cmp(b) != 0 {
+				t.Fatalf("%s: double(c, 3) = %v, chained adds = %v", name, b, a)
+			}
+			r, err := s.Refresh(c)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			// 2·halve(v) must equal v in the ring.
-			doubled, err := s.Add(h, h)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if got := decryptVia(t, s, doubled, []int{1, 2, 3}); got.Int64() != v {
-				t.Fatalf("%s: 2·halve(%d) = %v", name, v, got)
+			if got := decryptVia(t, s, r, []int{2, 4, 5}); got.Cmp(v) != 0 {
+				t.Fatalf("%s: refresh(%v) opens to %v", name, v, got)
 			}
 		}
 	}
@@ -122,8 +141,11 @@ func TestSuitesForeignCipherRejected(t *testing.T) {
 	if _, err := dj.Add(cp, cp); err == nil {
 		t.Fatal("dj suite accepted a plain cipher")
 	}
-	if _, err := plain.Halve(cd); err == nil {
-		t.Fatal("plain halve accepted a DJ cipher")
+	if _, err := plain.Refresh(cd); err == nil {
+		t.Fatal("plain refresh accepted a DJ cipher")
+	}
+	if _, err := dj.Double(cp, 1); err == nil {
+		t.Fatal("dj double accepted a plain cipher")
 	}
 	if _, err := dj.PartialDecrypt(1, cp); err == nil {
 		t.Fatal("dj partial decrypt accepted a plain cipher")
@@ -135,7 +157,8 @@ func TestSuitesOpCounting(t *testing.T) {
 		before := s.Counts()
 		c, _ := s.Encrypt(big.NewInt(9))
 		_, _ = s.Add(c, c)
-		_, _ = s.Halve(c)
+		_, _ = s.Refresh(c)
+		_, _ = s.Double(c, 3)
 		p, _ := s.PartialDecrypt(1, c)
 		p2, _ := s.PartialDecrypt(2, c)
 		p3, _ := s.PartialDecrypt(3, c)
@@ -144,6 +167,7 @@ func TestSuitesOpCounting(t *testing.T) {
 		if after.Encrypts != before.Encrypts+1 ||
 			after.Adds != before.Adds+1 ||
 			after.Halvings != before.Halvings+1 ||
+			after.Squarings != before.Squarings+3 ||
 			after.PartialDecrypts != before.PartialDecrypts+3 ||
 			after.Combines != before.Combines+1 {
 			t.Fatalf("%s: counts before %+v after %+v", name, before, after)
@@ -208,9 +232,9 @@ func TestCipherRingAdapter(t *testing.T) {
 	if got := decryptVia(t, s, sum, []int{1}); got.Int64() != 6 {
 		t.Fatalf("ring add with zero = %v", got)
 	}
-	h := ring.Halve(a)
-	if got := decryptVia(t, s, h, []int{2}); got.Int64() != 3 {
-		t.Fatalf("ring halve(6) = %v", got)
+	h := ring.Double(a, 2)
+	if got := decryptVia(t, s, h, []int{2}); got.Int64() != 24 {
+		t.Fatalf("ring double(6, 2) = %v", got)
 	}
 	if ring.Clone(a) == nil {
 		t.Fatal("clone returned nil")

@@ -11,11 +11,10 @@
 //     M/2 (the protocol's plaintext-headroom budget, documented in
 //     internal/core).
 //
-// The codec additionally supports power-of-two pre-scaling (PreScaleBits):
-// the gossip push-sum protocol repeatedly halves values, and halving in
-// Z_M is exact ring arithmetic but only decodes back to the intended
-// rational if the initial encoding carries enough factors of two. See
-// internal/gossip for the contract.
+// The gossip layer's halvings never touch these encodings: push-sum
+// tracks them as a public dyadic exponent (see internal/gossip), and the
+// decoder divides by the matching power of two. Packing several
+// encodings into one plaintext is SlotLayout's job (slots.go).
 package fixedpoint
 
 import (
@@ -187,32 +186,10 @@ func (c *Codec) DecodeSeries(vs []*big.Int) []float64 {
 	return out
 }
 
-// PreScale multiplies v by 2^bits (in place on a copy), providing the
-// factors of two that gossip halving will consume.
-func PreScale(v *big.Int, bits uint) *big.Int {
-	return new(big.Int).Lsh(v, bits)
-}
-
-// PostScale divides v by 2^bits with round-to-nearest, undoing PreScale
-// after all halvings are accounted for.
-func PostScale(v *big.Int, bits uint) *big.Int {
-	if bits == 0 {
-		return new(big.Int).Set(v)
-	}
-	half := new(big.Int).Lsh(big.NewInt(1), bits-1)
-	out := new(big.Int).Set(v)
-	if out.Sign() >= 0 {
-		out.Add(out, half)
-	} else {
-		out.Sub(out, half)
-	}
-	return out.Quo(out, new(big.Int).Lsh(big.NewInt(1), bits))
-}
-
 // HeadroomBits reports how many bits of |value| headroom remain below M/2
 // for an encoding with the given worst-case magnitude bound. It helps the
-// protocol validate that population * bound * 2^(frac+prescale) fits the
-// plaintext space. Returns a negative number if the bound already
+// protocol validate that population * bound * 2^(frac+exponent budget)
+// fits the plaintext space. Returns a negative number if the bound already
 // overflows.
 func HeadroomBits(M *big.Int, boundBits int) int {
 	return M.BitLen() - 1 - boundBits

@@ -233,31 +233,6 @@ func TestEncodeDecodeSeries(t *testing.T) {
 	}
 }
 
-func TestPreScalePostScaleInverse(t *testing.T) {
-	for _, v := range []int64{0, 7, -7, 123456} {
-		for _, bits := range []uint{0, 1, 8, 30} {
-			up := PreScale(big.NewInt(v), bits)
-			down := PostScale(up, bits)
-			if down.Int64() != v {
-				t.Fatalf("postScale(preScale(%d, %d)) = %v", v, bits, down)
-			}
-		}
-	}
-}
-
-func TestPostScaleRounds(t *testing.T) {
-	// 5/4 rounds to 1, 7/4 rounds to 2, -5/4 rounds to -1.
-	if got := PostScale(big.NewInt(5), 2).Int64(); got != 1 {
-		t.Fatalf("PostScale(5,2) = %d", got)
-	}
-	if got := PostScale(big.NewInt(7), 2).Int64(); got != 2 {
-		t.Fatalf("PostScale(7,2) = %d", got)
-	}
-	if got := PostScale(big.NewInt(-5), 2).Int64(); got != -1 {
-		t.Fatalf("PostScale(-5,2) = %d", got)
-	}
-}
-
 func TestHeadroomBits(t *testing.T) {
 	M := new(big.Int).Lsh(big.NewInt(1), 100)
 	if got := HeadroomBits(M, 60); got != 40 {

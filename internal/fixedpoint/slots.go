@@ -9,7 +9,7 @@ import (
 // SlotLayout packs several fixed-point coordinates into one plaintext of
 // the additively-homomorphic ring, the batching lever of homomorphically
 // outsourced clustering: every homomorphic operation on a packed
-// plaintext acts on all of its slots at once, so encrypts, halvings,
+// plaintext acts on all of its slots at once, so encrypts, emit refreshes,
 // partial decryptions and wire bytes all shrink by the packing factor.
 //
 // Layout. A plaintext of plainBits usable bits is split into
@@ -20,26 +20,20 @@ import (
 //	slotBits = magBits + 1 + headBits
 //
 // where 2^magBits strictly bounds the magnitude of one contribution's
-// signed scaled value and headBits is the aggregation headroom (population
-// bits plus guard bits) that keeps slot-wise sums from carrying into the
-// neighbouring slot.
+// signed scaled value and headBits is the aggregation headroom (the
+// push-sum exponent budget, population bits and guard bits) that keeps
+// slot-wise sums from carrying into the neighbouring slot.
 //
 // Signs. The ring has no negative numbers and a packed field cannot use
 // the residue-above-M/2 convention (only the top slot would see it), so
 // every slot stores v + bias with bias = 2^magBits > |v|: a non-negative
 // field whatever the sign of v. Bias bookkeeping under aggregation is
-// exact — a push-sum state holds Σᵢ cᵢ·(vᵢ + bias) per slot, where the
-// dyadic coefficients cᵢ sum to the state's weight w, so the decoder
-// subtracts bias·w (an exact integer whenever the weight's dyadic
-// denominator divides the bias; see Unbias).
-//
-// Halving exactness. The gossip primitive multiplies by 2⁻¹ mod M, which
-// only equals integer halving when the true value is even. A slot's
-// per-contribution value is v + bias where v carries ≥ PreScaleBits
-// factors of two (the fixedpoint.PreScale contract) and bias = 2^magBits
-// with magBits ≥ PreScaleBits, so every slot — and hence the whole packed
-// integer — stays even for the full pre-scale budget, and the existing
-// Halve is exact and slot-aligned with no crypto-layer changes.
+// exact — a push-sum state with dyadic exponent e holds
+// Σᵢ cᵢ·2^e·(vᵢ + bias) per slot, where the dyadic coefficients cᵢ sum
+// to the state's weight w and every cᵢ·2^e is an integer, so the
+// decoder subtracts bias·w·2^e (see Unbias). Gossip only ever adds and
+// doubles packed plaintexts, both slot-aligned, so no slot needs to stay
+// even or carry spare factors of two.
 type SlotLayout struct {
 	slotBits uint
 	magBits  uint
@@ -157,13 +151,12 @@ func (l *SlotLayout) Unpack(packed []*big.Int, coords int) ([]*big.Int, error) {
 
 // Unbias removes the aggregated sign bias from a raw slot field: the slot
 // holds trueSum + bias·biasWeight, where biasWeight is the sum of the
-// dyadic push-sum coefficients of every biased contribution folded into
-// the slot (the state's weight, times the number of biased vectors added
-// slot-wise — e.g. 2 after the means+noise addition). The product
-// bias·biasWeight is computed exactly over rationals; a non-integer
-// product means a contribution was halved more often than the bias has
-// factors of two — the same budget breach the pre-scale contract guards
-// against — and is reported as an error rather than rounded.
+// integer push-sum coefficients of every biased contribution folded into
+// the slot (the state's weight scaled by 2^Exp, times the number of
+// biased vectors added slot-wise — e.g. 2·w·2^Exp after the means+noise
+// addition). The product bias·biasWeight is computed exactly over
+// rationals; a non-integer product means the weight does not match the
+// slot's scaling, and is reported as an error rather than rounded.
 func (l *SlotLayout) Unbias(raw *big.Int, biasWeight float64) (*big.Int, error) {
 	if raw == nil || raw.Sign() < 0 {
 		return nil, errors.New("fixedpoint: invalid raw slot field")
@@ -174,7 +167,7 @@ func (l *SlotLayout) Unbias(raw *big.Int, biasWeight float64) (*big.Int, error) 
 	}
 	r.Mul(r, new(big.Rat).SetInt(l.bias))
 	if !r.IsInt() {
-		return nil, fmt.Errorf("fixedpoint: bias weight %v exceeds the bias' halving budget", biasWeight)
+		return nil, fmt.Errorf("fixedpoint: bias weight %v does not scale the bias to an integer", biasWeight)
 	}
 	return new(big.Int).Sub(raw, r.Num()), nil
 }

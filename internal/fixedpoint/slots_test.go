@@ -128,11 +128,10 @@ func TestSlotPackRandomized(t *testing.T) {
 	}
 }
 
-// TestSlotHalvingExactness checks the core contract: values carrying
-// preScale factors of two stay slot-aligned under up to preScale integer
-// halvings of the whole packed plaintext, and Unbias with the halved
-// weight recovers the halved values — the reason gossip's ×2⁻¹ needs no
-// crypto-layer change for packed ciphertexts.
+// TestSlotHalvingExactness checks that Unbias tracks a fractional bias
+// weight: values carrying preScale factors of two stay slot-aligned under
+// up to preScale integer halvings of the whole packed plaintext, and
+// Unbias with the halved weight recovers the halved values.
 func TestSlotHalvingExactness(t *testing.T) {
 	const preScale = 12
 	l := mustLayout(t, 640, 40, 10)
@@ -144,7 +143,7 @@ func TestSlotHalvingExactness(t *testing.T) {
 		if i%2 == 1 {
 			v.Neg(v)
 		}
-		vs[i] = v.Lsh(v, preScale) // the PreScale contract
+		vs[i] = v.Lsh(v, preScale) // preScale spare factors of two
 	}
 	packed, err := l.Pack(vs)
 	if err != nil {

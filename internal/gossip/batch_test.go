@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -143,7 +144,7 @@ func TestEmitIntoReusesBuffer(t *testing.T) {
 	if &got2.V[0] != prev {
 		t.Fatal("EmitInto reallocated a reusable buffer")
 	}
-	if got2.V[0] != 2 { // 8 -> emitted 4, kept 4 -> emitted 2
-		t.Fatalf("second emission value %v, want 2", got2.V[0])
+	if v := math.Ldexp(got2.V[0], -got2.Exp); v != 2 { // 8 -> emitted 4, kept 4 -> emitted 2
+		t.Fatalf("second emission value %v, want 2", v)
 	}
 }

@@ -21,6 +21,15 @@ func TestNewStateValidation(t *testing.T) {
 	}
 }
 
+// dyadic decodes a float state's values: V/2^Exp.
+func dyadic(v []float64, exp int) []float64 {
+	out := make([]float64, len(v))
+	for i, x := range v {
+		out[i] = math.Ldexp(x, -exp)
+	}
+	return out
+}
+
 func TestEmitHalvesAndConservesMass(t *testing.T) {
 	ring := FloatRing{}
 	st, err := NewState[float64](ring, []float64{8, 4}, 1)
@@ -31,9 +40,12 @@ func TestEmitHalvesAndConservesMass(t *testing.T) {
 	if msg.W != 0.5 || st.Weight() != 0.5 {
 		t.Fatalf("weights after emit: msg=%v state=%v", msg.W, st.Weight())
 	}
-	v := st.Values()
-	if v[0] != 4 || v[1] != 2 || msg.V[0] != 4 || msg.V[1] != 2 {
-		t.Fatalf("values after emit: state=%v msg=%v", v, msg.V)
+	if st.Exp != 1 || msg.Exp != 1 {
+		t.Fatalf("exponents after emit: state=%d msg=%d, want 1", st.Exp, msg.Exp)
+	}
+	v, mv := dyadic(st.Values(), st.Exp), dyadic(msg.V, msg.Exp)
+	if v[0] != 4 || v[1] != 2 || mv[0] != 4 || mv[1] != 2 {
+		t.Fatalf("values after emit: state=%v msg=%v", v, mv)
 	}
 }
 
@@ -45,7 +57,7 @@ func TestAbsorbAddsMass(t *testing.T) {
 	if err := b.Absorb(msg); err != nil {
 		t.Fatal(err)
 	}
-	v := b.Values()
+	v := dyadic(b.Values(), b.Exp)
 	if v[0] != 3.5 || v[1] != 5 || b.Weight() != 1.5 {
 		t.Fatalf("after absorb: v=%v w=%v", v, b.Weight())
 	}
@@ -87,7 +99,8 @@ func TestPairMassConservation(t *testing.T) {
 	ring := FloatRing{}
 	st, _ := NewState[float64](ring, []float64{5, 3}, 1)
 	msg := st.Emit()
-	if st.Values()[0]+msg.V[0] != 5 || st.Values()[1]+msg.V[1] != 3 {
+	v, mv := dyadic(st.Values(), st.Exp), dyadic(msg.V, msg.Exp)
+	if v[0]+mv[0] != 5 || v[1]+mv[1] != 3 {
 		t.Fatal("mass not conserved across emit")
 	}
 	if st.Weight()+msg.W != 1 {
@@ -170,7 +183,7 @@ func TestFloatAndModRingAgreeOnPreScaledGossip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const preScale = 12 // enough for the halvings below
+	const preScale = 12 // a constant scale: the dyadic exponent does the halving
 	encode := func(x int64) *big.Int {
 		return new(big.Int).Lsh(big.NewInt(x), preScale)
 	}
@@ -191,9 +204,9 @@ func TestFloatAndModRingAgreeOnPreScaledGossip(t *testing.T) {
 		f *State[float64]
 		m *State[*big.Int]
 	}{"a": {fa, ma}, "b": {fb, mb}} {
-		fEst := pair.f.Values()[0] / pair.f.Weight()
+		fEst := dyadic(pair.f.Values(), pair.f.Exp)[0] / pair.f.Weight()
 		raw := pair.m.Values()[0]
-		mEst := float64(raw.Int64()) / math.Ldexp(1, preScale) / pair.m.Weight()
+		mEst := float64(raw.Int64()) / math.Ldexp(1, preScale+pair.m.Exp) / pair.m.Weight()
 		if math.Abs(fEst-mEst) > 1e-9 {
 			t.Fatalf("%s: float est %v != ring est %v", name, fEst, mEst)
 		}

@@ -124,7 +124,7 @@ func randomMessage(rng *rand.Rand, ring *ModRing, n int) *Message[*big.Int] {
 	for i := range v {
 		v[i] = new(big.Int).Rand(rng, ring.M)
 	}
-	return &Message[*big.Int]{V: v, W: rng.Float64()}
+	return &Message[*big.Int]{V: v, W: rng.Float64(), Exp: rng.Intn(4)}
 }
 
 // TestMutStateEmitNotAliased pins the anti-aliasing property of the

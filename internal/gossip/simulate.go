@@ -26,7 +26,7 @@ type SimResult struct {
 
 // SimulatePushSum runs synchronous push-sum averaging over the given
 // per-node value vectors for the given number of rounds: in each round
-// every alive node halves its state and pushes one half to a uniformly
+// every alive node splits its state and pushes one half to a uniformly
 // random peer. failProb is the per-node-per-round probability that a
 // node's outgoing message is lost (models crashed/unreachable peers; the
 // mass it carried is lost, which is exactly the distortion the paper's
@@ -118,8 +118,9 @@ func estimate(s *State[float64]) []float64 {
 	if s.W == 0 {
 		return out
 	}
+	denom := math.Ldexp(s.W, s.Exp)
 	for j, v := range s.V {
-		out[j] = v / s.W
+		out[j] = v / denom
 	}
 	return out
 }
@@ -145,13 +146,12 @@ func l2norm(v []float64) float64 {
 	return math.Sqrt(acc)
 }
 
-// ModRing is the ring of residues mod M with exact halving by 2^{-1}
-// mod M (M must be odd). It is the plaintext-space mirror of the
+// ModRing is the ring of residues mod M (M odd, so 2 is invertible and
+// doubling is a bijection). It is the plaintext-space mirror of the
 // ciphertext ring and backs the accounted (crypto-disabled) backend so
 // that both backends execute bit-identical gossip arithmetic.
 type ModRing struct {
-	M    *big.Int
-	inv2 *big.Int
+	M *big.Int
 }
 
 // NewModRing builds a ModRing for odd modulus M.
@@ -159,11 +159,7 @@ func NewModRing(M *big.Int) (*ModRing, error) {
 	if M == nil || M.Sign() <= 0 || M.Bit(0) == 0 {
 		return nil, errors.New("gossip: modulus must be positive and odd")
 	}
-	inv2 := new(big.Int).ModInverse(big.NewInt(2), M)
-	if inv2 == nil {
-		return nil, errors.New("gossip: 2 not invertible mod M")
-	}
-	return &ModRing{M: new(big.Int).Set(M), inv2: inv2}, nil
+	return &ModRing{M: new(big.Int).Set(M)}, nil
 }
 
 // Zero implements Ring.
@@ -175,16 +171,11 @@ func (r *ModRing) Add(a, b *big.Int) *big.Int {
 	return out.Mod(out, r.M)
 }
 
-// Halve implements Ring: multiplication by 2^{-1} mod M, computed in its
-// division-free form (even residues shift right; odd residues become
-// (a+M)/2, exact because M is odd).
-func (r *ModRing) Halve(a *big.Int) *big.Int {
-	out := new(big.Int)
-	if a.Bit(0) == 0 {
-		return out.Rsh(a, 1)
-	}
-	out.Add(a, r.M)
-	return out.Rsh(out, 1)
+// Double implements Ring (see DoubleModInPlace).
+func (r *ModRing) Double(a *big.Int, k uint) *big.Int {
+	out := new(big.Int).Set(a)
+	DoubleModInPlace(out, r.M, k)
+	return out
 }
 
 // Clone implements Ring.
@@ -204,13 +195,22 @@ func (r *ModRing) AddAll(acc *big.Int, vs []*big.Int) *big.Int {
 	return out
 }
 
-// HalveInPlace implements MutRing: the same division-free halving as
-// Halve, written into a's own storage.
-func (r *ModRing) HalveInPlace(a *big.Int) {
-	if a.Bit(0) != 0 {
-		a.Add(a, r.M)
+// DoubleInPlace implements MutRing.
+func (r *ModRing) DoubleInPlace(a *big.Int, k uint) {
+	DoubleModInPlace(a, r.M, k)
+}
+
+// DoubleModInPlace sets a = 2^k·a mod M for a reduced residue a,
+// division-free: k one-bit shifts, each followed by a conditional
+// subtraction. Storage sized for a reduced residue plus one carry bit
+// suffices, so arena-backed values double without allocating.
+func DoubleModInPlace(a, M *big.Int, k uint) {
+	for ; k > 0; k-- {
+		a.Lsh(a, 1)
+		if a.Cmp(M) >= 0 {
+			a.Sub(a, M)
+		}
 	}
-	a.Rsh(a, 1)
 }
 
 // AddInPlace implements MutRing. Operands must be reduced residues (the

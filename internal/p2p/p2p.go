@@ -229,9 +229,9 @@ type nodeSlot struct {
 	// inbox holds the messages delivered for the current cycle; pending
 	// holds messages sent during the current cycle, which become visible
 	// in inbox at the start of the next cycle. This synchronous delivery
-	// discipline bounds the number of gossip halvings a contribution can
-	// undergo per cycle to one, which is what lets the fixed-point
-	// pre-scaling budget equal the number of gossip rounds (see
+	// discipline bounds the number of times a contribution's push-sum
+	// state is split per cycle to one, which is what lets the dyadic
+	// exponent budget stay close to the number of gossip rounds (see
 	// internal/gossip package docs). The two buffers are swapped, not
 	// reallocated, so a steady-state cycle performs no queue allocations.
 	inbox   []Message

@@ -26,8 +26,11 @@ import (
 // intact, never a torn file.
 
 const (
-	ckptMagic   uint32 = 0xC1A8C4B7
-	ckptVersion uint32 = 1
+	ckptMagic uint32 = 0xC1A8C4B7
+	// ckptVersion 2: parked gossip payloads carry the push-sum exponent
+	// and the embedded core snapshot is v3. Version 1 files are refused
+	// rather than misread.
+	ckptVersion uint32 = 2
 	// ckptMaxCount bounds every element count read from a checkpoint
 	// before allocation, so corrupt or adversarial length fields cannot
 	// demand unbounded memory.

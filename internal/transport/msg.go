@@ -21,8 +21,10 @@ const (
 	// allocated for it.
 	helloMagic uint32 = 0xC1A805C0
 	// meshVersion is the envelope protocol version. Version 2 added
-	// per-link frame sequencing and the resume handshake.
-	meshVersion uint32 = 2
+	// per-link frame sequencing and the resume handshake; version 3
+	// gossip payloads carry the push-sum exponent, so a mixed mesh is
+	// refused at the handshake instead of failing its first decode.
+	meshVersion uint32 = 3
 )
 
 // Message types.
