@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -103,39 +102,6 @@ func (s *plainSuite) UnmarshalPartialValues(index int, buf []byte) ([]Partial, e
 	return out, nil
 }
 
-// appendFloats appends one length-prefixed field of IEEE-754 bit
-// patterns (big-endian), one per coordinate, row-major.
-func appendFloats(buf []byte, rows [][]float64) []byte {
-	body := make([]byte, 0, 8*len(rows)*len(rows[0]))
-	for _, row := range rows {
-		for _, v := range row {
-			body = binary.BigEndian.AppendUint64(body, math.Float64bits(v))
-		}
-	}
-	return wire.AppendBytes(buf, body)
-}
-
-// readFloats reads one floats field of exactly rows×cols coordinates.
-func readFloats(fr *wire.FieldReader, rows, cols int) ([][]float64, error) {
-	body, err := fr.Bytes()
-	if err != nil {
-		return nil, err
-	}
-	if len(body) != 8*rows*cols {
-		return nil, fmt.Errorf("core: centroid field %d bytes, want %d", len(body), 8*rows*cols)
-	}
-	out := make([][]float64, rows)
-	for j := range out {
-		row := make([]float64, cols)
-		for t := range row {
-			row[t] = math.Float64frombits(binary.BigEndian.Uint64(body))
-			body = body[8:]
-		}
-		out[j] = row
-	}
-	return out, nil
-}
-
 // EncodePayload serializes one protocol payload (as passed to
 // Env.Send) for the network transport. It accepts exactly the payload
 // types the participant emits.
@@ -145,33 +111,26 @@ func (nd *Node) EncodePayload(payload any) ([]byte, error) {
 		if pl.Msg == nil {
 			return nil, errors.New("core: gossip payload without message")
 		}
-		buf := []byte{netGossip}
-		buf = wire.AppendUint32(buf, uint32(pl.Iter))
-		buf = appendFloats(buf, pl.Centroids)
-		var wb [8]byte
-		binary.BigEndian.PutUint64(wb[:], math.Float64bits(pl.Msg.W))
-		buf = wire.AppendBytes(buf, wb[:])
-		buf = wire.AppendUint32(buf, uint32(pl.Msg.Exp))
 		cv, err := nd.codec.MarshalCipherVector(pl.Msg.V)
 		if err != nil {
 			return nil, err
 		}
+		// Sized exactly: the hot path's one buffer per message.
+		buf := make([]byte, 0, 1+8+4+8*len(pl.Centroids)*nd.pt.run.dim+12+8+4+len(cv))
+		buf = wire.AppendU32(append(buf, netGossip), uint32(pl.Iter))
+		buf = wire.AppendFloats(buf, pl.Centroids)
+		buf = wire.AppendF64(buf, pl.Msg.W)
+		buf = wire.AppendU32(buf, uint32(pl.Msg.Exp))
 		return wire.AppendBytes(buf, cv), nil
 	case *decryptRequest:
-		buf := []byte{netDecryptRequest}
-		buf = wire.AppendUint32(buf, uint32(pl.Iter))
-		cv, err := nd.codec.MarshalCipherVector(pl.Ciphers)
-		if err != nil {
-			return nil, err
-		}
-		return wire.AppendBytes(buf, cv), nil
+		buf := wire.AppendU32([]byte{netDecryptRequest}, uint32(pl.Iter))
+		return nd.appendCipherVector(buf, pl.Ciphers)
 	case *decryptResponse:
 		if len(pl.Partials) == 0 {
 			return nil, errors.New("core: empty decrypt response")
 		}
-		buf := []byte{netDecryptResponse}
-		buf = wire.AppendUint32(buf, uint32(pl.Iter))
-		buf = wire.AppendUint32(buf, uint32(pl.Partials[0].Index))
+		buf := wire.AppendU32([]byte{netDecryptResponse}, uint32(pl.Iter))
+		buf = wire.AppendU32(buf, uint32(pl.Partials[0].Index))
 		pv, err := nd.codec.MarshalPartialValues(pl.Partials)
 		if err != nil {
 			return nil, err
@@ -180,6 +139,26 @@ func (nd *Node) EncodePayload(payload any) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("core: unencodable payload type %T", payload)
 	}
+}
+
+// appendCipherVector appends cs as one field holding the suite's
+// cipher-vector artifact.
+func (nd *Node) appendCipherVector(buf []byte, cs []Cipher) ([]byte, error) {
+	cv, err := nd.codec.MarshalCipherVector(cs)
+	if err != nil {
+		return nil, err
+	}
+	return wire.AppendBytes(buf, cv), nil
+}
+
+// readCipherVector reads a cipher-vector field of exactly want ciphers.
+func (nd *Node) readCipherVector(d *wire.Decoder, want int, what string) []Cipher {
+	cs, err := nd.codec.UnmarshalCipherVector(d.Bytes())
+	d.Fail(err)
+	if len(cs) != want {
+		d.Failf("%s of %d ciphers, want %d", what, len(cs), want)
+	}
+	return cs
 }
 
 // DecodePayload parses and validates one payload received from a peer.
@@ -195,106 +174,50 @@ func (nd *Node) DecodePayload(buf []byte) (any, error) {
 		return nil, errors.New("core: empty payload")
 	}
 	r := nd.pt.run
-	fr := wire.NewFieldReader(buf[1:])
-	iterU, err := fr.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	iter := int(iterU)
+	d := wire.NewDecoder(buf[1:])
+	iter := int(d.U32())
 	if iter >= r.params.Iterations {
-		return nil, fmt.Errorf("core: payload iteration %d outside schedule of %d", iter, r.params.Iterations)
+		d.Failf("iteration %d outside schedule of %d", iter, r.params.Iterations)
 	}
+	var pl any
 	switch buf[0] {
 	case netGossip:
-		centroids, err := readFloats(fr, r.params.K, r.dim)
-		if err != nil {
-			return nil, err
-		}
+		centroids := d.Floats(r.params.K, r.dim)
 		for _, row := range centroids {
 			for _, v := range row {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return nil, errors.New("core: non-finite centroid coordinate")
+					d.Failf("non-finite centroid coordinate")
 				}
 			}
 		}
-		wb, err := fr.Bytes()
-		if err != nil {
-			return nil, err
-		}
-		if len(wb) != 8 {
-			return nil, fmt.Errorf("core: weight field %d bytes, want 8", len(wb))
-		}
-		w := math.Float64frombits(binary.BigEndian.Uint64(wb))
+		w := d.F64()
 		if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 || w > float64(r.population) {
-			return nil, fmt.Errorf("core: implausible push-sum weight %g", w)
+			d.Failf("implausible push-sum weight %g", w)
 		}
-		exp, err := fr.Uint32()
-		if err != nil {
-			return nil, err
+		exp := int(d.U32())
+		if !r.dyadicInBudget(w, exp) {
+			d.Failf("push-sum weight %g at exponent %d beyond the headroom budget", w, exp)
 		}
-		if !r.dyadicInBudget(w, int(exp)) {
-			return nil, fmt.Errorf("core: push-sum weight %g at exponent %d beyond the headroom budget", w, exp)
-		}
-		cv, err := fr.Bytes()
-		if err != nil {
-			return nil, err
-		}
-		if err := fr.Done(); err != nil {
-			return nil, err
-		}
-		cs, err := nd.codec.UnmarshalCipherVector(cv)
-		if err != nil {
-			return nil, err
-		}
-		if len(cs) != 2*r.sideCiphers {
-			return nil, fmt.Errorf("core: gossip vector of %d ciphers, want %d", len(cs), 2*r.sideCiphers)
-		}
-		return &gossipPayload{
-			Iter:      iter,
-			Centroids: centroids,
-			Msg:       &gossip.Message[Cipher]{V: cs, W: w, Exp: int(exp)},
-		}, nil
+		cs := nd.readCipherVector(d, 2*r.sideCiphers, "gossip vector")
+		pl = &gossipPayload{Iter: iter, Centroids: centroids, Msg: &gossip.Message[Cipher]{V: cs, W: w, Exp: exp}}
 	case netDecryptRequest:
-		cv, err := fr.Bytes()
-		if err != nil {
-			return nil, err
-		}
-		if err := fr.Done(); err != nil {
-			return nil, err
-		}
-		cs, err := nd.codec.UnmarshalCipherVector(cv)
-		if err != nil {
-			return nil, err
-		}
-		if len(cs) != r.sideCiphers {
-			return nil, fmt.Errorf("core: decrypt request of %d ciphers, want %d", len(cs), r.sideCiphers)
-		}
-		return &decryptRequest{Iter: iter, Ciphers: cs}, nil
+		pl = &decryptRequest{Iter: iter, Ciphers: nd.readCipherVector(d, r.sideCiphers, "decrypt request")}
 	case netDecryptResponse:
-		idxU, err := fr.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		idx := int(idxU)
+		idx := int(d.U32())
 		if idx < 1 || idx > r.suite.Parties() {
-			return nil, fmt.Errorf("core: partial index %d outside [1, %d]", idx, r.suite.Parties())
+			d.Failf("partial index %d outside [1, %d]", idx, r.suite.Parties())
 		}
-		pv, err := fr.Bytes()
-		if err != nil {
-			return nil, err
-		}
-		if err := fr.Done(); err != nil {
-			return nil, err
-		}
-		ps, err := nd.codec.UnmarshalPartialValues(idx, pv)
-		if err != nil {
-			return nil, err
-		}
+		ps, err := nd.codec.UnmarshalPartialValues(idx, d.Bytes())
+		d.Fail(err)
 		if len(ps) != r.sideCiphers {
-			return nil, fmt.Errorf("core: decrypt response of %d partials, want %d", len(ps), r.sideCiphers)
+			d.Failf("decrypt response of %d partials, want %d", len(ps), r.sideCiphers)
 		}
-		return &decryptResponse{Iter: iter, Partials: ps}, nil
+		pl = &decryptResponse{Iter: iter, Partials: ps}
 	default:
 		return nil, fmt.Errorf("core: unknown payload kind 0x%02x", buf[0])
 	}
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("core: payload kind 0x%02x: %w", buf[0], err)
+	}
+	return pl, nil
 }

@@ -186,13 +186,6 @@ type Params struct {
 	// the randomizer pool sized by GOMAXPROCS, and a wider exponent
 	// budget (see expBudget).
 	asyncEngine bool
-
-	// legacyDecryptAsk restores the pre-window decrypt request
-	// discipline (threshold+1 fresh peers every waiting cycle, drawn
-	// without replacement). Only the package's A/B stress tests set it —
-	// it exists to keep the old discipline measurable next to the
-	// outstanding-request window.
-	legacyDecryptAsk bool
 }
 
 // withDefaults returns a copy with defaults applied for a population of n

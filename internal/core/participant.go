@@ -98,7 +98,6 @@ type Env interface {
 	Inbox() []p2p.Message
 	Send(to p2p.NodeID, payload any, bytes int) error
 	RandomPeer() (p2p.NodeID, bool)
-	RandomPeers(k int) []p2p.NodeID
 }
 
 var _ Env = (*p2p.Context)(nil)
@@ -815,23 +814,10 @@ func (pt *participant) stepDecrypt(ctx Env, responses []*decryptResponse) {
 	}
 	// Step 2d: ask peers for partial decryptions, keeping only `missing`
 	// asks in flight instead of blasting threshold+1 fresh peers every
-	// cycle (the legacy discipline, kept for A/B stress tests).
+	// cycle.
 	missing := r.suite.Threshold() - len(pt.partials)
 	req := &decryptRequest{Iter: pt.iter, Ciphers: pt.pendingCT}
-	bytes := len(pt.pendingCT)*r.suite.CipherBytes() + 8
-	if r.params.legacyDecryptAsk {
-		for _, peer := range ctx.RandomPeers(missing + 1) {
-			if pt.asked[peer] {
-				continue
-			}
-			pt.asked[peer] = true
-			pt.decryptReqs++
-			pt.decryptReqBytes += int64(bytes)
-			_ = ctx.Send(peer, req, bytes)
-		}
-	} else {
-		pt.topUpAsks(ctx, missing, req, bytes)
-	}
+	pt.topUpAsks(ctx, missing, req, len(pt.pendingCT)*r.suite.CipherBytes()+8)
 	pt.waitCycles++
 	if pt.waitCycles > r.params.DecryptWindow {
 		// Could not assemble a quorum (heavy churn): degrade by keeping

@@ -2,12 +2,12 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 
 	"chiaroscuro/internal/gossip"
 	"chiaroscuro/internal/p2p"
@@ -46,154 +46,103 @@ const (
 // distinguish corruption from config mismatch if they care to.
 var errSnapshot = errors.New("core: malformed snapshot")
 
-func snapErr(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", errSnapshot, fmt.Sprintf(format, args...))
-}
-
-// appendU64Field appends one 8-byte big-endian scalar field.
-func appendU64Field(buf []byte, v uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return wire.AppendBytes(buf, b[:])
-}
-
-func readU64Field(fr *wire.FieldReader) (uint64, error) {
-	b, err := fr.Bytes()
-	if err != nil {
-		return 0, err
-	}
-	if len(b) != 8 {
-		return 0, snapErr("scalar field %d bytes, want 8", len(b))
-	}
-	return binary.BigEndian.Uint64(b), nil
-}
-
 // Snapshot serializes the node's complete mutable state. The intended
 // call point is an epoch boundary (the transport checkpoints after a
 // barrier completes), but any quiescent moment between Step calls is
-// valid. The encoding is the wire package's length-prefixed field
-// format; floats travel as IEEE-754 bit patterns so a restore is
-// bit-exact, NaNs included.
+// valid. The encoding is the wire package's field codec (docs/WIRE.md);
+// floats travel as IEEE-754 bit patterns so a restore is bit-exact,
+// NaNs included.
 func (nd *Node) Snapshot() ([]byte, error) {
 	p := nd.pt
 
-	buf := wire.AppendUint32(nil, snapMagic)
-	buf = wire.AppendUint32(buf, snapVersion)
+	buf := wire.AppendU32(nil, snapMagic)
+	buf = wire.AppendU32(buf, snapVersion)
 
 	// Header blob: everything RestoreNode needs BEFORE it can build the
 	// run setup — identity, RNG state, and the ceremony key material.
-	var hdr []byte
-	hdr = appendU64Field(hdr, nd.Fingerprint())
-	hdr = wire.AppendUint32(hdr, uint32(p.id))
-	hdr = appendU64Field(hdr, p.rngSrc.State())
-	if m := nd.rs.p.DJMaterial; m != nil {
+	hdr := wire.AppendU64(nil, nd.Fingerprint())
+	hdr = wire.AppendU32(hdr, uint32(p.id))
+	hdr = wire.AppendU64(hdr, p.rngSrc.State())
+	m := nd.rs.p.DJMaterial
+	hdr = wire.AppendBool(hdr, m != nil)
+	if m != nil {
 		var gb bytes.Buffer
 		if err := gob.NewEncoder(&gb).Encode(m); err != nil {
 			return nil, fmt.Errorf("core: snapshot key material: %w", err)
 		}
-		hdr = wire.AppendUint32(hdr, 1)
 		hdr = wire.AppendBytes(hdr, gb.Bytes())
-	} else {
-		hdr = wire.AppendUint32(hdr, 0)
 	}
 	buf = wire.AppendBytes(buf, hdr)
 
 	// State blob: the participant's mutable protocol state.
 	var st []byte
-	st = wire.AppendUint32(st, uint32(p.phase))
-	st = wire.AppendUint32(st, uint32(p.iter))
-	st = wire.AppendUint32(st, uint32(p.roundsDone))
-	st = wire.AppendUint32(st, uint32(p.assignment))
-	st = wire.AppendUint32(st, uint32(p.waitCycles))
-	st = wire.AppendUint32(st, uint32(p.staleDrops))
-	st = wire.AppendUint32(st, uint32(p.decryptFail))
-	st = wire.AppendUint32(st, uint32(p.diptych.Iteration))
-	st = appendFloats(st, p.diptych.Centroids)
+	for _, v := range []int{int(p.phase), p.iter, p.roundsDone, p.assignment, p.waitCycles, p.staleDrops, p.decryptFail, p.diptych.Iteration} {
+		st = wire.AppendU32(st, uint32(v))
+	}
+	st = wire.AppendFloats(st, p.diptych.Centroids)
 
 	// The encrypted push-sum state only matters in the phases that read
 	// it before stepAssign rebuilds it (gossip and decrypt); elsewhere a
 	// stale Means is dead weight, so it is dropped.
-	if p.diptych.Means != nil && (p.phase == phaseGossip || p.phase == phaseDecrypt) {
-		st = wire.AppendUint32(st, 1)
-		st = appendU64Field(st, math.Float64bits(p.diptych.Means.Weight()))
-		st = wire.AppendUint32(st, uint32(p.diptych.Means.Exp))
-		cv, err := nd.codec.MarshalCipherVector(p.diptych.Means.Values())
-		if err != nil {
+	means := p.diptych.Means
+	hasMeans := means != nil && (p.phase == phaseGossip || p.phase == phaseDecrypt)
+	st = wire.AppendBool(st, hasMeans)
+	var err error
+	if hasMeans {
+		st = wire.AppendF64(st, means.Weight())
+		st = wire.AppendU32(st, uint32(means.Exp))
+		if st, err = nd.appendCipherVector(st, means.Values()); err != nil {
 			return nil, fmt.Errorf("core: snapshot push-sum state: %w", err)
 		}
-		st = wire.AppendBytes(st, cv)
-	} else {
-		st = wire.AppendUint32(st, 0)
 	}
 
 	// pendingCT's nil-ness is protocol state: stepDecrypt runs step 2c
 	// exactly when it is nil, so the flag must round-trip even though an
 	// empty vector never occurs.
+	st = wire.AppendBool(st, p.pendingCT != nil)
 	if p.pendingCT != nil {
-		st = wire.AppendUint32(st, 1)
-		cv, err := nd.codec.MarshalCipherVector(p.pendingCT)
-		if err != nil {
+		if st, err = nd.appendCipherVector(st, p.pendingCT); err != nil {
 			return nil, fmt.Errorf("core: snapshot pending ciphertexts: %w", err)
 		}
-		st = wire.AppendBytes(st, cv)
-	} else {
-		st = wire.AppendUint32(st, 0)
 	}
 
 	// Partials and asked-peers are sets keyed by index/id; sorted so the
 	// snapshot bytes are deterministic (map order is not).
-	idxs := make([]int, 0, len(p.partials))
-	for idx := range p.partials {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
-	st = wire.AppendUint32(st, uint32(len(idxs)))
+	idxs := slices.Sorted(maps.Keys(p.partials))
+	st = wire.AppendU32(st, uint32(len(idxs)))
 	for _, idx := range idxs {
-		st = wire.AppendUint32(st, uint32(idx))
+		st = wire.AppendU32(st, uint32(idx))
 		pv, err := nd.codec.MarshalPartialValues(p.partials[idx])
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot partials: %w", err)
 		}
 		st = wire.AppendBytes(st, pv)
 	}
-	asked := make([]int, 0, len(p.asked))
-	for id := range p.asked {
-		asked = append(asked, int(id))
-	}
-	sort.Ints(asked)
-	st = wire.AppendUint32(st, uint32(len(asked)))
+	asked := slices.Sorted(maps.Keys(p.asked))
+	st = wire.AppendU32(st, uint32(len(asked)))
 	for _, id := range asked {
-		st = wire.AppendUint32(st, uint32(id))
+		st = wire.AppendU32(st, uint32(id))
 	}
-	outIDs := make([]int, 0, len(p.outstanding))
-	for id := range p.outstanding {
-		outIDs = append(outIDs, int(id))
-	}
-	sort.Ints(outIDs)
-	st = wire.AppendUint32(st, uint32(len(outIDs)))
+	outIDs := slices.Sorted(maps.Keys(p.outstanding))
+	st = wire.AppendU32(st, uint32(len(outIDs)))
 	for _, id := range outIDs {
-		st = wire.AppendUint32(st, uint32(id))
-		st = wire.AppendUint32(st, uint32(p.outstanding[p2p.NodeID(id)]))
+		st = wire.AppendU32(st, uint32(id))
+		st = wire.AppendU32(st, uint32(p.outstanding[id]))
 	}
 
-	st = wire.AppendUint32(st, uint32(len(p.history)))
+	st = wire.AppendU32(st, uint32(len(p.history)))
 	for _, h := range p.history {
-		st = wire.AppendUint32(st, uint32(h.Iteration))
-		st = appendU64Field(st, math.Float64bits(h.Epsilon))
-		st = appendFloats(st, h.PerturbedCentroids)
-		st = appendFloats(st, [][]float64{h.PerturbedCounts})
-		st = appendU64Field(st, math.Float64bits(h.PerturbedInertia))
-		st = wire.AppendUint32(st, uint32(h.Assignment))
-		st = appendU64Field(st, math.Float64bits(h.Displacement))
-		failed := uint32(0)
-		if h.DecryptFailed {
-			failed = 1
-		}
-		st = wire.AppendUint32(st, failed)
-		st = wire.AppendUint32(st, uint32(h.CompletedAtCycle))
+		st = wire.AppendU32(st, uint32(h.Iteration))
+		st = wire.AppendF64(st, h.Epsilon)
+		st = wire.AppendFloats(st, h.PerturbedCentroids)
+		st = wire.AppendFloats(st, [][]float64{h.PerturbedCounts})
+		st = wire.AppendF64(st, h.PerturbedInertia)
+		st = wire.AppendU32(st, uint32(h.Assignment))
+		st = wire.AppendF64(st, h.Displacement)
+		st = wire.AppendBool(st, h.DecryptFailed)
+		st = wire.AppendU32(st, uint32(h.CompletedAtCycle))
 	}
-	buf = wire.AppendBytes(buf, st)
-	return buf, nil
+	return wire.AppendBytes(buf, st), nil
 }
 
 // snapshotHeader is the pre-construction part of a snapshot.
@@ -207,69 +156,29 @@ type snapshotHeader struct {
 // parseSnapshotHeader splits a snapshot into its header (decoded) and
 // its still-encoded state blob.
 func parseSnapshotHeader(snap []byte) (*snapshotHeader, []byte, error) {
-	fr := wire.NewFieldReader(snap)
-	magic, err := fr.Uint32()
-	if err != nil {
-		return nil, nil, snapErr("truncated: %v", err)
+	d := wire.NewDecoder(snap)
+	if magic := d.U32(); magic != snapMagic {
+		d.Failf("bad magic 0x%08x", magic)
 	}
-	if magic != snapMagic {
-		return nil, nil, snapErr("bad magic 0x%08x", magic)
+	if version := d.U32(); version != snapVersion {
+		d.Failf("version %d, want %d", version, snapVersion)
 	}
-	version, err := fr.Uint32()
-	if err != nil {
-		return nil, nil, snapErr("truncated: %v", err)
-	}
-	if version != snapVersion {
-		return nil, nil, snapErr("version %d, want %d", version, snapVersion)
-	}
-	hdrBytes, err := fr.Bytes()
-	if err != nil {
-		return nil, nil, snapErr("header: %v", err)
-	}
-	stBytes, err := fr.Bytes()
-	if err != nil {
-		return nil, nil, snapErr("state: %v", err)
-	}
-	if err := fr.Done(); err != nil {
-		return nil, nil, snapErr("trailing bytes: %v", err)
-	}
+	hd := wire.NewDecoder(d.Bytes())
+	st := d.Bytes()
 
 	h := &snapshotHeader{}
-	hr := wire.NewFieldReader(hdrBytes)
-	if h.fingerprint, err = readU64Field(hr); err != nil {
-		return nil, nil, err
+	h.fingerprint = hd.U64()
+	h.id = int(hd.U32())
+	h.rngState = hd.U64()
+	if hd.Bool() {
+		h.material = new(DJKeyMaterial)
+		hd.Fail(gob.NewDecoder(bytes.NewReader(hd.Bytes())).Decode(h.material))
 	}
-	idU, err := hr.Uint32()
-	if err != nil {
-		return nil, nil, snapErr("id: %v", err)
+	d.Fail(hd.Done())
+	if err := d.Done(); err != nil {
+		return nil, nil, fmt.Errorf("%w: %w", errSnapshot, err)
 	}
-	h.id = int(idU)
-	if h.rngState, err = readU64Field(hr); err != nil {
-		return nil, nil, err
-	}
-	hasMat, err := hr.Uint32()
-	if err != nil {
-		return nil, nil, snapErr("material flag: %v", err)
-	}
-	switch hasMat {
-	case 0:
-	case 1:
-		mb, err := hr.Bytes()
-		if err != nil {
-			return nil, nil, snapErr("material: %v", err)
-		}
-		var m DJKeyMaterial
-		if err := gob.NewDecoder(bytes.NewReader(mb)).Decode(&m); err != nil {
-			return nil, nil, snapErr("material: %v", err)
-		}
-		h.material = &m
-	default:
-		return nil, nil, snapErr("material flag %d", hasMat)
-	}
-	if err := hr.Done(); err != nil {
-		return nil, nil, snapErr("header trailing bytes: %v", err)
-	}
-	return h, stBytes, nil
+	return h, st, nil
 }
 
 // RestoreNode rebuilds a Node from the shared run configuration and a
@@ -285,7 +194,7 @@ func RestoreNode(data [][]float64, params Params, id int, snap []byte) (*Node, e
 		return nil, err
 	}
 	if h.id != id {
-		return nil, snapErr("snapshot is node %d's, not node %d's", h.id, id)
+		return nil, fmt.Errorf("%w: snapshot is node %d's, not node %d's", errSnapshot, h.id, id)
 	}
 	if h.material != nil {
 		params.DJMaterial = h.material
@@ -315,303 +224,163 @@ func RestoreNode(data [][]float64, params Params, id int, snap []byte) (*Node, e
 func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 	p := nd.pt
 	r := p.run
-	fr := wire.NewFieldReader(st)
+	parties := nd.rs.suite.Parties()
+	d := wire.NewDecoder(st)
 
-	u32 := func(name string) (int, error) {
-		v, err := fr.Uint32()
-		if err != nil {
-			return 0, snapErr("%s: %v", name, err)
-		}
-		return int(v), nil
+	ph := phase(d.U32())
+	if ph > phaseDone {
+		d.Failf("phase %d out of range", ph)
 	}
-	phaseV, err := u32("phase")
-	if err != nil {
-		return err
-	}
-	if phaseV > int(phaseDone) {
-		return snapErr("phase %d out of range", phaseV)
-	}
-	iter, err := u32("iter")
-	if err != nil {
-		return err
-	}
+	iter := int(d.U32())
 	if iter >= len(r.epsSched) {
-		return snapErr("iteration %d outside schedule of %d", iter, len(r.epsSched))
+		d.Failf("iteration %d outside schedule of %d", iter, len(r.epsSched))
 	}
-	roundsDone, err := u32("roundsDone")
-	if err != nil {
-		return err
-	}
-	assignment, err := u32("assignment")
-	if err != nil {
-		return err
-	}
+	roundsDone := int(d.U32())
+	assignment := int(d.U32())
 	if assignment >= r.params.K {
-		return snapErr("assignment %d outside K=%d", assignment, r.params.K)
+		d.Failf("assignment %d outside K=%d", assignment, r.params.K)
 	}
-	waitCycles, err := u32("waitCycles")
-	if err != nil {
-		return err
-	}
-	staleDrops, err := u32("staleDrops")
-	if err != nil {
-		return err
-	}
-	decryptFail, err := u32("decryptFail")
-	if err != nil {
-		return err
-	}
-	dipIter, err := u32("diptych iteration")
-	if err != nil {
-		return err
-	}
-	centroids, err := readFloats(fr, r.params.K, r.dim)
-	if err != nil {
-		return snapErr("centroids: %v", err)
-	}
+	waitCycles := int(d.U32())
+	staleDrops := int(d.U32())
+	decryptFail := int(d.U32())
+	dipIter := int(d.U32())
+	centroids := d.Floats(r.params.K, r.dim)
 
-	hasMeans, err := u32("means flag")
-	if err != nil {
-		return err
-	}
 	var means *gossip.State[Cipher]
-	switch hasMeans {
-	case 0:
-	case 1:
-		wBits, err := readU64Field(fr)
-		if err != nil {
-			return err
-		}
-		w := math.Float64frombits(wBits)
+	if d.Bool() {
+		w := d.F64()
 		if math.IsNaN(w) || math.IsInf(w, 0) || w <= 0 || w > float64(r.population) {
-			return snapErr("implausible push-sum weight %g", w)
+			d.Failf("implausible push-sum weight %g", w)
 		}
-		exp, err := u32("push-sum exponent")
-		if err != nil {
-			return err
-		}
+		exp := int(d.U32())
 		// The same headroom test DecodePayload applies to the messages
 		// such a state absorbs and will emit.
 		if !r.dyadicInBudget(w, exp) {
-			return snapErr("push-sum weight %g at exponent %d beyond the headroom budget", w, exp)
+			d.Failf("push-sum weight %g at exponent %d beyond the headroom budget", w, exp)
 		}
-		cv, err := fr.Bytes()
-		if err != nil {
-			return snapErr("push-sum vector: %v", err)
+		cs := nd.readCipherVector(d, 2*r.sideCiphers, "push-sum vector")
+		var err error
+		if means, err = gossip.NewState[Cipher](r.ring, cs, w); err != nil {
+			d.Fail(err)
+		} else {
+			means.Exp = exp
+			// Mirror stepAssign's construction: the restored values are
+			// freshly cloned and exclusively owned, so the in-place hot
+			// path stays sound under the same conditions.
+			if r.mut != nil {
+				means.SetMutable()
+			}
+			if r.batchHint > 0 {
+				means.ReserveBatch(r.batchHint)
+			}
 		}
-		cs, err := nd.codec.UnmarshalCipherVector(cv)
-		if err != nil {
-			return snapErr("push-sum vector: %v", err)
-		}
-		if len(cs) != 2*r.sideCiphers {
-			return snapErr("push-sum vector of %d ciphers, want %d", len(cs), 2*r.sideCiphers)
-		}
-		means, err = gossip.NewState[Cipher](r.ring, cs, w)
-		if err != nil {
-			return snapErr("push-sum state: %v", err)
-		}
-		means.Exp = exp
-		// Mirror stepAssign's construction: the restored values are
-		// freshly cloned and exclusively owned, so the in-place hot path
-		// stays sound under the same conditions.
-		if r.mut != nil {
-			means.SetMutable()
-		}
-		if r.batchHint > 0 {
-			means.ReserveBatch(r.batchHint)
-		}
-	default:
-		return snapErr("means flag %d", hasMeans)
 	}
 
-	hasPending, err := u32("pending flag")
-	if err != nil {
-		return err
-	}
 	var pendingCT []Cipher
-	switch hasPending {
-	case 0:
-	case 1:
-		cv, err := fr.Bytes()
-		if err != nil {
-			return snapErr("pending ciphertexts: %v", err)
+	if d.Bool() {
+		pendingCT = nd.readCipherVector(d, r.sideCiphers, "pending vector")
+		if means == nil {
+			d.Failf("pending ciphertexts without push-sum state")
 		}
-		cs, err := nd.codec.UnmarshalCipherVector(cv)
-		if err != nil {
-			return snapErr("pending ciphertexts: %v", err)
-		}
-		if len(cs) != r.sideCiphers {
-			return snapErr("pending vector of %d ciphers, want %d", len(cs), r.sideCiphers)
-		}
-		pendingCT = cs
-	default:
-		return snapErr("pending flag %d", hasPending)
-	}
-	if pendingCT != nil && means == nil {
-		return snapErr("pending ciphertexts without push-sum state")
 	}
 
-	nPartials, err := u32("partials count")
-	if err != nil {
-		return err
+	// The decrypt-phase collections are empty outside that phase; they
+	// are decoded into maps either way and dropped at commit.
+	decrypt := ph == phaseDecrypt
+	n := d.Count(parties)
+	if n > 0 && !decrypt {
+		d.Failf("partials outside decrypt phase")
 	}
-	if nPartials > nd.rs.suite.Parties() {
-		return snapErr("%d partial sets for %d parties", nPartials, nd.rs.suite.Parties())
-	}
-	var partials map[int][]Partial
-	if phase(phaseV) == phaseDecrypt {
-		partials = make(map[int][]Partial, nPartials)
-	} else if nPartials > 0 {
-		return snapErr("partials outside decrypt phase")
-	}
-	for i := 0; i < nPartials; i++ {
-		idx, err := u32("partial index")
-		if err != nil {
-			return err
+	partials := make(map[int][]Partial, n)
+	for ; n > 0; n-- {
+		idx := int(d.U32())
+		if idx < 1 || idx > parties {
+			d.Failf("partial index %d outside [1, %d]", idx, parties)
 		}
-		if idx < 1 || idx > nd.rs.suite.Parties() {
-			return snapErr("partial index %d outside [1, %d]", idx, nd.rs.suite.Parties())
-		}
-		pv, err := fr.Bytes()
-		if err != nil {
-			return snapErr("partial values: %v", err)
-		}
-		ps, err := nd.codec.UnmarshalPartialValues(idx, pv)
-		if err != nil {
-			return snapErr("partial values: %v", err)
-		}
+		ps, err := nd.codec.UnmarshalPartialValues(idx, d.Bytes())
+		d.Fail(err)
 		if len(ps) != r.sideCiphers {
-			return snapErr("partial set of %d values, want %d", len(ps), r.sideCiphers)
+			d.Failf("partial set of %d values, want %d", len(ps), r.sideCiphers)
 		}
 		if _, dup := partials[idx]; dup {
-			return snapErr("duplicate partial index %d", idx)
+			d.Failf("duplicate partial index %d", idx)
 		}
 		partials[idx] = ps
 	}
 
-	nAsked, err := u32("asked count")
-	if err != nil {
-		return err
+	nAsked := d.Count(r.population)
+	if nAsked > 0 && !decrypt {
+		d.Failf("asked peers outside decrypt phase")
 	}
-	if nAsked > r.population {
-		return snapErr("%d asked peers in population %d", nAsked, r.population)
-	}
-	var asked map[p2p.NodeID]bool
-	if phase(phaseV) == phaseDecrypt {
-		asked = make(map[p2p.NodeID]bool, nAsked)
-	} else if nAsked > 0 {
-		return snapErr("asked peers outside decrypt phase")
-	}
-	for i := 0; i < nAsked; i++ {
-		id, err := u32("asked id")
-		if err != nil {
-			return err
+	asked := make(map[p2p.NodeID]bool, nAsked)
+	for n = nAsked; n > 0; n-- {
+		id := p2p.NodeID(d.U32())
+		if int(id) >= r.population {
+			d.Failf("asked id %d outside population %d", id, r.population)
 		}
-		if id >= r.population {
-			return snapErr("asked id %d outside population %d", id, r.population)
+		if asked[id] {
+			d.Failf("duplicate asked id %d", id)
 		}
-		asked[p2p.NodeID(id)] = true
+		asked[id] = true
 	}
 
-	nOut, err := u32("outstanding count")
-	if err != nil {
-		return err
+	n = d.Count(nAsked)
+	if n > 0 && !decrypt {
+		d.Failf("outstanding asks outside decrypt phase")
 	}
-	if nOut > nAsked {
-		return snapErr("%d outstanding asks for %d asked peers", nOut, nAsked)
-	}
-	var outstanding map[p2p.NodeID]int
-	if phase(phaseV) == phaseDecrypt {
-		outstanding = make(map[p2p.NodeID]int, nOut)
-	} else if nOut > 0 {
-		return snapErr("outstanding asks outside decrypt phase")
-	}
-	for i := 0; i < nOut; i++ {
-		id, err := u32("outstanding id")
-		if err != nil {
-			return err
+	outstanding := make(map[p2p.NodeID]int, n)
+	for ; n > 0; n-- {
+		id := p2p.NodeID(d.U32())
+		ttl := int(d.U32())
+		switch _, dup := outstanding[id]; {
+		case ttl < 1 || ttl > askTTL:
+			d.Failf("outstanding ttl %d outside [1, %d]", ttl, askTTL)
+		case !asked[id]:
+			d.Failf("outstanding ask for un-asked peer %d", id)
+		case dup:
+			d.Failf("duplicate outstanding id %d", id)
 		}
-		if id >= r.population {
-			return snapErr("outstanding id %d outside population %d", id, r.population)
-		}
-		ttl, err := u32("outstanding ttl")
-		if err != nil {
-			return err
-		}
-		if ttl < 1 || ttl > askTTL {
-			return snapErr("outstanding ttl %d outside [1, %d]", ttl, askTTL)
-		}
-		if !asked[p2p.NodeID(id)] {
-			return snapErr("outstanding ask for un-asked peer %d", id)
-		}
-		if _, dup := outstanding[p2p.NodeID(id)]; dup {
-			return snapErr("duplicate outstanding id %d", id)
-		}
-		outstanding[p2p.NodeID(id)] = ttl
+		outstanding[id] = ttl
 	}
 
-	nHistory, err := u32("history count")
-	if err != nil {
-		return err
-	}
-	if nHistory > r.params.Iterations {
-		return snapErr("%d history entries for %d iterations", nHistory, r.params.Iterations)
-	}
-	history := make([]IterationResult, 0, nHistory)
-	for i := 0; i < nHistory; i++ {
+	// The history is what this run disclosed: one record per finished
+	// iteration, in schedule order, each drawn at its scheduled epsilon.
+	n = d.Count(r.params.Iterations)
+	history := make([]IterationResult, 0, n)
+	for prev := -1; n > 0; n-- {
 		var rec IterationResult
-		if rec.Iteration, err = u32("history iteration"); err != nil {
-			return err
+		rec.Iteration = int(d.U32())
+		rec.Epsilon = d.F64()
+		switch {
+		case rec.Iteration <= prev || rec.Iteration >= len(r.epsSched):
+			d.Failf("history iteration %d not ascending past %d inside a schedule of %d", rec.Iteration, prev, len(r.epsSched))
+		case math.Float64bits(rec.Epsilon) != math.Float64bits(r.epsSched[rec.Iteration]):
+			d.Failf("history epsilon %g is not iteration %d's scheduled %g", rec.Epsilon, rec.Iteration, r.epsSched[rec.Iteration])
 		}
-		epsBits, err := readU64Field(fr)
-		if err != nil {
-			return err
+		prev = rec.Iteration
+		rec.PerturbedCentroids = d.Floats(r.params.K, r.dim)
+		if counts := d.Floats(1, r.params.K); counts != nil {
+			rec.PerturbedCounts = counts[0]
 		}
-		rec.Epsilon = math.Float64frombits(epsBits)
-		if rec.PerturbedCentroids, err = readFloats(fr, r.params.K, r.dim); err != nil {
-			return snapErr("history centroids: %v", err)
+		rec.PerturbedInertia = d.F64()
+		if rec.Assignment = int(d.U32()); rec.Assignment >= r.params.K {
+			d.Failf("history assignment %d outside K=%d", rec.Assignment, r.params.K)
 		}
-		counts, err := readFloats(fr, 1, r.params.K)
-		if err != nil {
-			return snapErr("history counts: %v", err)
-		}
-		rec.PerturbedCounts = counts[0]
-		inBits, err := readU64Field(fr)
-		if err != nil {
-			return err
-		}
-		rec.PerturbedInertia = math.Float64frombits(inBits)
-		if rec.Assignment, err = u32("history assignment"); err != nil {
-			return err
-		}
-		if rec.Assignment >= r.params.K {
-			return snapErr("history assignment %d outside K=%d", rec.Assignment, r.params.K)
-		}
-		dBits, err := readU64Field(fr)
-		if err != nil {
-			return err
-		}
-		rec.Displacement = math.Float64frombits(dBits)
-		failed, err := u32("history failed flag")
-		if err != nil {
-			return err
-		}
-		if failed > 1 {
-			return snapErr("history failed flag %d", failed)
-		}
-		rec.DecryptFailed = failed == 1
-		if rec.CompletedAtCycle, err = u32("history cycle"); err != nil {
-			return err
-		}
+		rec.Displacement = d.F64()
+		rec.DecryptFailed = d.Bool()
+		rec.CompletedAtCycle = int(d.U32())
 		history = append(history, rec)
 	}
-	if err := fr.Done(); err != nil {
-		return snapErr("trailing state bytes: %v", err)
+	if err := d.Done(); err != nil {
+		return fmt.Errorf("%w: %w", errSnapshot, err)
+	}
+	if !decrypt {
+		partials, asked, outstanding = nil, nil, nil
 	}
 
 	// Everything validated — commit.
 	p.rngSrc.SetState(h.rngState)
-	p.phase = phase(phaseV)
+	p.phase = ph
 	p.iter = iter
 	p.roundsDone = roundsDone
 	p.assignment = assignment

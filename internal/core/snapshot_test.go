@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"maps"
+	"slices"
 	"testing"
 
 	"chiaroscuro/internal/p2p"
+	"chiaroscuro/internal/wire"
 )
 
 // snapshot_test.go drives networked Nodes through an in-memory mesh —
@@ -67,9 +70,6 @@ func (e *memEnv) AliveCount() int      { return len(e.m.nodes) }
 func (e *memEnv) Inbox() []p2p.Message { return e.inbox }
 func (e *memEnv) RandomPeer() (p2p.NodeID, bool) {
 	return e.m.samplers[e.id].RandomPeer()
-}
-func (e *memEnv) RandomPeers(k int) []p2p.NodeID {
-	return e.m.samplers[e.id].RandomPeers(k)
 }
 func (e *memEnv) Send(to p2p.NodeID, payload any, bytes int) error {
 	raw, err := e.m.nodes[e.id].EncodePayload(payload)
@@ -281,6 +281,115 @@ func midGossipNode(t testing.TB) *memMesh {
 	}
 	t.Fatal("node 0 never reached a mid-gossip state")
 	return nil
+}
+
+// decryptPhaseNode steps a mem mesh of the snapshot configuration
+// until node 0 is in the decrypt phase of the second iteration with
+// asks in flight — so it holds pending ciphertexts, an asked set, an
+// outstanding window and one disclosed history entry — and returns the
+// mesh.
+func decryptPhaseNode(t testing.TB) *memMesh {
+	data, params := snapshotTestConfig()
+	m := newMemMesh(t, data, params)
+	nd := m.nodes[0]
+	for e := 0; e < nd.MaxCycles(); e++ {
+		m.stepEpoch(t, e)
+		if nd.pt.phase == phaseDecrypt && nd.pt.iter == 1 && len(nd.pt.outstanding) > 0 {
+			return m
+		}
+	}
+	t.Fatal("node 0 never reached a decrypt-phase state with asks in flight")
+	return nil
+}
+
+// TestRestoreRejectsImpossibleHistory: restore validates the disclosed
+// history and the asked set against what the run could have produced.
+// Each snapshot below is well-formed field by field, but records a
+// history entry outside the schedule, one not strictly after its
+// predecessor, one drawn at an epsilon other than its iteration's
+// scheduled one, or a peer asked twice.
+func TestRestoreRejectsImpossibleHistory(t *testing.T) {
+	data, params := snapshotTestConfig()
+	m := decryptPhaseNode(t)
+	defer m.close()
+	nd := m.nodes[0]
+	p := nd.pt
+	if len(p.history) != 1 {
+		t.Fatalf("decrypt-phase node has %d history entries, want 1", len(p.history))
+	}
+	orig := p.history[0]
+	restores := func() bool {
+		t.Helper()
+		snap, err := nd.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := RestoreNode(data, params, 0, snap)
+		if err != nil {
+			return false
+		}
+		restored.Close()
+		return true
+	}
+	if !restores() {
+		t.Fatal("the untouched decrypt-phase snapshot does not restore")
+	}
+	for _, tc := range []struct {
+		name    string
+		history func() []IterationResult
+	}{
+		{"iteration outside the schedule", func() []IterationResult {
+			h := orig
+			h.Iteration = 5000
+			return []IterationResult{h}
+		}},
+		{"epsilon off the schedule", func() []IterationResult {
+			h := orig
+			h.Epsilon = 1e9
+			return []IterationResult{h}
+		}},
+		{"repeated iteration", func() []IterationResult { return []IterationResult{orig, orig} }},
+		{"descending iterations", func() []IterationResult {
+			h := orig
+			h.Iteration, h.Epsilon = 1, p.run.epsSched[1]
+			return []IterationResult{h, orig}
+		}},
+	} {
+		p.history = tc.history()
+		if restores() {
+			t.Errorf("%s: restore accepted it", tc.name)
+		}
+	}
+	p.history = []IterationResult{orig}
+
+	// A duplicate asked id cannot come from a map-backed set, so it is
+	// spliced into the encoding: the asked block [n, a, b, ...] becomes
+	// [n, a, a, ...]. The outstanding window is cleared first so only
+	// the duplicate is at fault.
+	p.outstanding = map[p2p.NodeID]int{}
+	snap, err := nd.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	asked := slices.Sorted(maps.Keys(p.asked))
+	if len(asked) < 2 {
+		t.Fatalf("decrypt-phase node asked %d peers, want at least 2", len(asked))
+	}
+	block := wire.AppendU32(nil, uint32(len(asked)))
+	for _, id := range asked {
+		block = wire.AppendU32(block, uint32(id))
+	}
+	at := bytes.Index(snap, block)
+	if at < 0 || bytes.Index(snap[at+1:], block) >= 0 {
+		t.Fatal("asked block not found exactly once in the snapshot")
+	}
+	dup := wire.AppendU32(slices.Clone(block[:16]), uint32(asked[0]))
+	dup = append(dup, block[24:]...)
+	snap = slices.Concat(snap[:at], dup, snap[at+len(block):])
+	if restored, err := RestoreNode(data, params, 0, snap); err == nil {
+		restored.Close()
+		t.Fatalf("restore accepted asked ids %v with %d listed twice", asked, asked[0])
+	}
 }
 
 // lastExpInBudget is the largest exponent dyadicInBudget accepts at

@@ -8,12 +8,12 @@ import (
 	"chiaroscuro/internal/wire"
 )
 
-// Wire artifacts of the three ceremony phases. Encoding follows the
-// repo's wire conventions (internal/wire): a [kind, version] header,
-// length-prefixed fields, uint32 counts, and strict Unmarshal
-// validation — every count is bounded against the remaining buffer
-// before allocation, so the fuzz targets cannot be used to provoke
-// huge allocations from tiny inputs.
+// Wire artifacts of the three ceremony phases, built on the wire
+// package's field codec (docs/WIRE.md): a [kind, version] header,
+// length-prefixed fields, U32 counts, and strict Unmarshal validation —
+// every count is bounded against the remaining buffer before
+// allocation, so the fuzz targets cannot be used to provoke huge
+// allocations from tiny inputs.
 //
 // Shares are signed integers (resharing applies signed Lagrange
 // weights), so share fields carry an explicit sign byte; commitment
@@ -87,56 +87,28 @@ func appendSigned(buf []byte, v *big.Int) []byte {
 	return wire.AppendBytes(buf, append(field, b...))
 }
 
-func readSigned(fr *wire.FieldReader) (*big.Int, error) {
-	b, err := fr.Bytes()
-	if err != nil {
-		return nil, err
-	}
+func readSigned(d *wire.Decoder) *big.Int {
+	b := d.Bytes()
+	v := new(big.Int)
 	if len(b) == 0 {
-		return new(big.Int), nil
+		return v
 	}
 	if b[0] > 1 {
-		return nil, fmt.Errorf("%w: bad sign byte", ErrMessage)
+		d.Failf("bad sign byte")
+		return v
 	}
-	v := new(big.Int).SetBytes(b[1:])
+	v.SetBytes(b[1:])
 	if b[0] == 1 {
 		v.Neg(v)
 	}
-	return v, nil
+	return v
 }
 
-func checkCount(fr *wire.FieldReader, count uint32, max int) error {
-	if int64(count) > int64(max) {
-		return fmt.Errorf("%w: count %d exceeds limit %d", ErrMessage, count, max)
-	}
-	// Every counted element costs at least 4 bytes on the wire, which
-	// bounds allocation by the actual input size.
-	if int64(count)*4 > int64(len(fr.Rest())) {
-		return fmt.Errorf("%w: count %d exceeds buffer", ErrMessage, count)
-	}
-	return nil
-}
-
-func header(kind byte) []byte { return []byte{kind, msgVersion} }
-
-func checkHeader(buf []byte, kind byte) (*wire.FieldReader, error) {
-	if len(buf) < 2 || buf[0] != kind || buf[1] != msgVersion {
-		return nil, fmt.Errorf("%w: bad header", ErrMessage)
-	}
-	return wire.NewFieldReader(buf[2:]), nil
-}
-
-// MarshalDeal encodes a Deal.
-func MarshalDeal(d *Deal) ([]byte, error) {
-	if d == nil || d.Dealer < 1 || d.Receiver < 1 || len(d.Commits) == 0 || len(d.Commits) > maxWireCommits {
-		return nil, fmt.Errorf("%w: invalid deal", ErrMessage)
-	}
-	buf := header(kindDeal)
-	buf = wire.AppendUint32(buf, uint32(d.Dealer))
-	buf = wire.AppendUint32(buf, uint32(d.Receiver))
-	buf = appendSigned(buf, d.Share)
-	buf = wire.AppendUint32(buf, uint32(len(d.Commits)))
-	for _, c := range d.Commits {
+// appendCommits appends a commitment vector: count, then one unsigned
+// field per group element.
+func appendCommits(buf []byte, commits []*big.Int) ([]byte, error) {
+	buf = wire.AppendU32(buf, uint32(len(commits)))
+	for _, c := range commits {
 		if c == nil || c.Sign() < 0 {
 			return nil, fmt.Errorf("%w: invalid commitment", ErrMessage)
 		}
@@ -145,49 +117,59 @@ func MarshalDeal(d *Deal) ([]byte, error) {
 	return buf, nil
 }
 
+func readCommits(d *wire.Decoder) []*big.Int {
+	commits := make([]*big.Int, d.Count(maxWireCommits))
+	for i := range commits {
+		commits[i] = new(big.Int).SetBytes(d.Bytes())
+	}
+	return commits
+}
+
+// readParty reads a party index in [min, maxWireParties].
+func readParty(d *wire.Decoder, min uint32) int {
+	v := d.U32()
+	if v < min || v > maxWireParties {
+		d.Failf("party index %d out of range", v)
+	}
+	return int(v)
+}
+
+// done finishes a decode, wrapping any failure in ErrMessage.
+func done(d *wire.Decoder) error {
+	if err := d.Done(); err != nil {
+		return fmt.Errorf("%w: %w", ErrMessage, err)
+	}
+	return nil
+}
+
+// MarshalDeal encodes a Deal.
+func MarshalDeal(d *Deal) ([]byte, error) {
+	if d == nil || d.Dealer < 1 || d.Receiver < 1 || len(d.Commits) == 0 || len(d.Commits) > maxWireCommits {
+		return nil, fmt.Errorf("%w: invalid deal", ErrMessage)
+	}
+	buf := wire.AppendHeader(nil, kindDeal, msgVersion)
+	buf = wire.AppendU32(buf, uint32(d.Dealer))
+	buf = wire.AppendU32(buf, uint32(d.Receiver))
+	buf = appendSigned(buf, d.Share)
+	return appendCommits(buf, d.Commits)
+}
+
 // UnmarshalDeal decodes and validates a Deal.
 func UnmarshalDeal(buf []byte) (*Deal, error) {
-	fr, err := checkHeader(buf, kindDeal)
-	if err != nil {
+	d := wire.NewDecoder(buf)
+	d.Header(kindDeal, msgVersion)
+	deal := &Deal{}
+	deal.Dealer = readParty(d, 1)
+	deal.Receiver = readParty(d, 1)
+	deal.Share = readSigned(d)
+	deal.Commits = readCommits(d)
+	if len(deal.Commits) == 0 {
+		d.Failf("deal without commitments")
+	}
+	if err := done(d); err != nil {
 		return nil, err
 	}
-	dealer, err := fr.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	receiver, err := fr.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if dealer < 1 || dealer > maxWireParties || receiver < 1 || receiver > maxWireParties {
-		return nil, fmt.Errorf("%w: party index out of range", ErrMessage)
-	}
-	share, err := readSigned(fr)
-	if err != nil {
-		return nil, err
-	}
-	count, err := fr.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if count == 0 {
-		return nil, fmt.Errorf("%w: deal without commitments", ErrMessage)
-	}
-	if err := checkCount(fr, count, maxWireCommits); err != nil {
-		return nil, err
-	}
-	commits := make([]*big.Int, count)
-	for i := range commits {
-		b, err := fr.Bytes()
-		if err != nil {
-			return nil, err
-		}
-		commits[i] = new(big.Int).SetBytes(b)
-	}
-	if err := fr.Done(); err != nil {
-		return nil, err
-	}
-	return &Deal{Dealer: int(dealer), Receiver: int(receiver), Share: share, Commits: commits}, nil
+	return deal, nil
 }
 
 // MarshalResponse encodes a Response.
@@ -195,19 +177,15 @@ func MarshalResponse(r *Response) ([]byte, error) {
 	if r == nil || r.From < 1 || len(r.Verdicts) == 0 || len(r.Verdicts) > maxWireParties {
 		return nil, fmt.Errorf("%w: invalid response", ErrMessage)
 	}
-	buf := header(kindResponse)
-	buf = wire.AppendUint32(buf, uint32(r.From))
-	buf = wire.AppendUint32(buf, uint32(len(r.Verdicts)))
+	buf := wire.AppendHeader(nil, kindResponse, msgVersion)
+	buf = wire.AppendU32(buf, uint32(r.From))
+	buf = wire.AppendU32(buf, uint32(len(r.Verdicts)))
 	for _, v := range r.Verdicts {
 		if v.Dealer < 1 {
 			return nil, fmt.Errorf("%w: invalid verdict dealer", ErrMessage)
 		}
-		buf = wire.AppendUint32(buf, uint32(v.Dealer))
-		var flag uint32
-		if v.Complaint {
-			flag = 1
-		}
-		buf = wire.AppendUint32(buf, flag)
+		buf = wire.AppendU32(buf, uint32(v.Dealer))
+		buf = wire.AppendBool(buf, v.Complaint)
 		buf = wire.AppendBytes(buf, v.Digest[:])
 	}
 	return buf, nil
@@ -215,58 +193,27 @@ func MarshalResponse(r *Response) ([]byte, error) {
 
 // UnmarshalResponse decodes and validates a Response.
 func UnmarshalResponse(buf []byte) (*Response, error) {
-	fr, err := checkHeader(buf, kindResponse)
-	if err != nil {
-		return nil, err
+	d := wire.NewDecoder(buf)
+	d.Header(kindResponse, msgVersion)
+	r := &Response{From: readParty(d, 1)}
+	r.Verdicts = make([]DealerVerdict, d.Count(maxWireParties))
+	if len(r.Verdicts) == 0 {
+		d.Failf("response without verdicts")
 	}
-	from, err := fr.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if from < 1 || from > maxWireParties {
-		return nil, fmt.Errorf("%w: party index out of range", ErrMessage)
-	}
-	count, err := fr.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if count == 0 {
-		return nil, fmt.Errorf("%w: response without verdicts", ErrMessage)
-	}
-	if err := checkCount(fr, count, maxWireParties); err != nil {
-		return nil, err
-	}
-	verdicts := make([]DealerVerdict, count)
-	for i := range verdicts {
-		dealer, err := fr.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		if dealer < 1 || dealer > maxWireParties {
-			return nil, fmt.Errorf("%w: party index out of range", ErrMessage)
-		}
-		flag, err := fr.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		if flag > 1 {
-			return nil, fmt.Errorf("%w: bad verdict flag", ErrMessage)
-		}
-		digest, err := fr.Bytes()
-		if err != nil {
-			return nil, err
-		}
+	for i := range r.Verdicts {
+		v := &r.Verdicts[i]
+		v.Dealer = readParty(d, 1)
+		v.Complaint = d.Bool()
+		digest := d.Bytes()
 		if len(digest) != 32 {
-			return nil, fmt.Errorf("%w: digest must be 32 bytes", ErrMessage)
+			d.Failf("digest must be 32 bytes")
 		}
-		verdicts[i].Dealer = int(dealer)
-		verdicts[i].Complaint = flag == 1
-		copy(verdicts[i].Digest[:], digest)
+		copy(v.Digest[:], digest)
 	}
-	if err := fr.Done(); err != nil {
+	if err := done(d); err != nil {
 		return nil, err
 	}
-	return &Response{From: int(from), Verdicts: verdicts}, nil
+	return r, nil
 }
 
 // MarshalJustification encodes a Justification (possibly empty).
@@ -277,21 +224,18 @@ func MarshalJustification(j *Justification) ([]byte, error) {
 	if j.Dealer == 0 && (len(j.Commits) > 0 || len(j.Shares) > 0) {
 		return nil, fmt.Errorf("%w: non-dealer justification must be empty", ErrMessage)
 	}
-	buf := header(kindJustification)
-	buf = wire.AppendUint32(buf, uint32(j.Dealer))
-	buf = wire.AppendUint32(buf, uint32(len(j.Commits)))
-	for _, c := range j.Commits {
-		if c == nil || c.Sign() < 0 {
-			return nil, fmt.Errorf("%w: invalid commitment", ErrMessage)
-		}
-		buf = wire.AppendBytes(buf, c.Bytes())
+	buf := wire.AppendHeader(nil, kindJustification, msgVersion)
+	buf = wire.AppendU32(buf, uint32(j.Dealer))
+	buf, err := appendCommits(buf, j.Commits)
+	if err != nil {
+		return nil, err
 	}
-	buf = wire.AppendUint32(buf, uint32(len(j.Shares)))
+	buf = wire.AppendU32(buf, uint32(len(j.Shares)))
 	for _, s := range j.Shares {
 		if s.Receiver < 1 {
 			return nil, fmt.Errorf("%w: invalid justification receiver", ErrMessage)
 		}
-		buf = wire.AppendUint32(buf, uint32(s.Receiver))
+		buf = wire.AppendU32(buf, uint32(s.Receiver))
 		buf = appendSigned(buf, s.Share)
 	}
 	return buf, nil
@@ -299,66 +243,25 @@ func MarshalJustification(j *Justification) ([]byte, error) {
 
 // UnmarshalJustification decodes and validates a Justification.
 func UnmarshalJustification(buf []byte) (*Justification, error) {
-	fr, err := checkHeader(buf, kindJustification)
-	if err != nil {
-		return nil, err
-	}
-	dealer, err := fr.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if dealer > maxWireParties {
-		return nil, fmt.Errorf("%w: party index out of range", ErrMessage)
-	}
-	ccount, err := fr.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if err := checkCount(fr, ccount, maxWireCommits); err != nil {
-		return nil, err
-	}
-	commits := make([]*big.Int, ccount)
-	for i := range commits {
-		b, err := fr.Bytes()
-		if err != nil {
-			return nil, err
+	d := wire.NewDecoder(buf)
+	d.Header(kindJustification, msgVersion)
+	j := &Justification{Dealer: readParty(d, 0)}
+	j.Commits = readCommits(d)
+	if n := d.Count(maxWireParties); n > 0 {
+		j.Shares = make([]JustShare, n)
+		for i := range j.Shares {
+			j.Shares[i].Receiver = readParty(d, 1)
+			j.Shares[i].Share = readSigned(d)
 		}
-		commits[i] = new(big.Int).SetBytes(b)
 	}
-	scount, err := fr.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if err := checkCount(fr, scount, maxWireParties); err != nil {
-		return nil, err
-	}
-	shares := make([]JustShare, scount)
-	for i := range shares {
-		recv, err := fr.Uint32()
-		if err != nil {
-			return nil, err
-		}
-		if recv < 1 || recv > maxWireParties {
-			return nil, fmt.Errorf("%w: party index out of range", ErrMessage)
-		}
-		share, err := readSigned(fr)
-		if err != nil {
-			return nil, err
-		}
-		shares[i] = JustShare{Receiver: int(recv), Share: share}
-	}
-	if err := fr.Done(); err != nil {
-		return nil, err
-	}
-	j := &Justification{Dealer: int(dealer), Commits: commits, Shares: shares}
 	if j.Dealer == 0 && (len(j.Commits) > 0 || len(j.Shares) > 0) {
-		return nil, fmt.Errorf("%w: non-dealer justification must be empty", ErrMessage)
+		d.Failf("non-dealer justification must be empty")
 	}
-	if len(commits) == 0 {
+	if err := done(d); err != nil {
+		return nil, err
+	}
+	if len(j.Commits) == 0 {
 		j.Commits = nil
-	}
-	if len(shares) == 0 {
-		j.Shares = nil
 	}
 	return j, nil
 }

@@ -4,9 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"chiaroscuro/internal/wire"
@@ -72,136 +73,74 @@ func checkpointPath(cfg Config) string {
 	return filepath.Join(cfg.CheckpointDir, fmt.Sprintf("%d.ckpt", cfg.ID))
 }
 
-func appendU64(buf []byte, v uint64) []byte {
-	var u [8]byte
-	binary.BigEndian.PutUint64(u[:], v)
-	return wire.AppendBytes(buf, u[:])
-}
-
-func readU64(fr *wire.FieldReader) (uint64, error) {
-	b, err := fr.Bytes()
-	if err != nil {
-		return 0, err
-	}
-	if len(b) != 8 {
-		return 0, ckptErr("u64 field is %d bytes", len(b))
-	}
-	return binary.BigEndian.Uint64(b), nil
-}
-
 func encodeCheckpoint(ck *checkpoint) []byte {
 	buf := make([]byte, 0, 1024+len(ck.coreSnap))
-	buf = wire.AppendUint32(buf, ckptMagic)
-	buf = wire.AppendUint32(buf, ckptVersion)
-	buf = appendU64(buf, ck.fingerprint)
-	buf = wire.AppendUint32(buf, uint32(ck.id))
-	buf = wire.AppendUint32(buf, uint32(ck.population))
-	buf = wire.AppendUint32(buf, uint32(ck.nextEpoch))
-	flag := uint32(0)
-	if ck.barrierPending {
-		flag = 1
-	}
-	buf = wire.AppendUint32(buf, flag)
-	buf = appendU64(buf, ck.samplerState)
+	buf = wire.AppendU32(buf, ckptMagic)
+	buf = wire.AppendU32(buf, ckptVersion)
+	buf = wire.AppendU64(buf, ck.fingerprint)
+	buf = wire.AppendU32(buf, uint32(ck.id))
+	buf = wire.AppendU32(buf, uint32(ck.population))
+	buf = wire.AppendU32(buf, uint32(ck.nextEpoch))
+	buf = wire.AppendBool(buf, ck.barrierPending)
+	buf = wire.AppendU64(buf, ck.samplerState)
 	buf = wire.AppendBytes(buf, ck.coreSnap)
 
-	peers := make([]int, 0, len(ck.links))
-	for id := range ck.links {
-		peers = append(peers, id)
-	}
-	sort.Ints(peers)
-	buf = wire.AppendUint32(buf, uint32(len(peers)))
+	peers := slices.Sorted(maps.Keys(ck.links))
+	buf = wire.AppendU32(buf, uint32(len(peers)))
 	for _, id := range peers {
 		ls := ck.links[id]
-		buf = wire.AppendUint32(buf, uint32(id))
-		buf = appendU64(buf, ls.outSeq)
-		buf = appendU64(buf, ls.inSeq)
-		buf = appendU64(buf, ls.pruned)
-		buf = wire.AppendUint32(buf, uint32(len(ls.ring)))
+		buf = wire.AppendU32(buf, uint32(id))
+		buf = wire.AppendU64(buf, ls.outSeq)
+		buf = wire.AppendU64(buf, ls.inSeq)
+		buf = wire.AppendU64(buf, ls.pruned)
+		buf = wire.AppendU32(buf, uint32(len(ls.ring)))
 		for _, sf := range ls.ring {
-			buf = appendU64(buf, sf.seq)
-			buf = wire.AppendUint32(buf, uint32(sf.epoch))
+			buf = wire.AppendU64(buf, sf.seq)
+			buf = wire.AppendU32(buf, uint32(sf.epoch))
 			buf = wire.AppendBytes(buf, sf.frame)
 		}
 	}
 
-	buf = appendEpochPayloads(buf, ck.pendingData)
-	buf = appendEpochTicks(buf, ck.ticks)
-
-	leftIDs := make([]int, 0, len(ck.left))
-	for id := range ck.left {
-		leftIDs = append(leftIDs, id)
-	}
-	sort.Ints(leftIDs)
-	buf = wire.AppendUint32(buf, uint32(len(leftIDs)))
-	for _, id := range leftIDs {
-		buf = wire.AppendUint32(buf, uint32(id))
-	}
-
-	buf = wire.AppendUint32(buf, uint32(len(ck.backlog)))
-	for _, m := range ck.backlog {
-		buf = wire.AppendUint32(buf, uint32(m.from))
-		buf = wire.AppendUint32(buf, uint32(m.kind))
-		buf = wire.AppendUint32(buf, uint32(m.epoch))
-		d := uint32(0)
-		if m.done {
-			d = 1
-		}
-		buf = wire.AppendUint32(buf, d)
-		buf = wire.AppendBytes(buf, m.payload)
-	}
-	return buf
-}
-
-func appendEpochPayloads(buf []byte, data map[int]map[int][][]byte) []byte {
-	epochs := make([]int, 0, len(data))
-	for e := range data {
-		epochs = append(epochs, e)
-	}
-	sort.Ints(epochs)
-	buf = wire.AppendUint32(buf, uint32(len(epochs)))
+	epochs := slices.Sorted(maps.Keys(ck.pendingData))
+	buf = wire.AppendU32(buf, uint32(len(epochs)))
 	for _, e := range epochs {
-		buf = wire.AppendUint32(buf, uint32(e))
-		senders := make([]int, 0, len(data[e]))
-		for s := range data[e] {
-			senders = append(senders, s)
-		}
-		sort.Ints(senders)
-		buf = wire.AppendUint32(buf, uint32(len(senders)))
+		buf = wire.AppendU32(buf, uint32(e))
+		senders := slices.Sorted(maps.Keys(ck.pendingData[e]))
+		buf = wire.AppendU32(buf, uint32(len(senders)))
 		for _, s := range senders {
-			buf = wire.AppendUint32(buf, uint32(s))
-			buf = wire.AppendUint32(buf, uint32(len(data[e][s])))
-			for _, p := range data[e][s] {
+			buf = wire.AppendU32(buf, uint32(s))
+			buf = wire.AppendU32(buf, uint32(len(ck.pendingData[e][s])))
+			for _, p := range ck.pendingData[e][s] {
 				buf = wire.AppendBytes(buf, p)
 			}
 		}
 	}
-	return buf
-}
 
-func appendEpochTicks(buf []byte, ticks map[int]map[int]bool) []byte {
-	epochs := make([]int, 0, len(ticks))
-	for e := range ticks {
-		epochs = append(epochs, e)
-	}
-	sort.Ints(epochs)
-	buf = wire.AppendUint32(buf, uint32(len(epochs)))
+	epochs = slices.Sorted(maps.Keys(ck.ticks))
+	buf = wire.AppendU32(buf, uint32(len(epochs)))
 	for _, e := range epochs {
-		buf = wire.AppendUint32(buf, uint32(e))
-		senders := make([]int, 0, len(ticks[e]))
-		for s := range ticks[e] {
-			senders = append(senders, s)
-		}
-		sort.Ints(senders)
-		buf = wire.AppendUint32(buf, uint32(len(senders)))
+		buf = wire.AppendU32(buf, uint32(e))
+		senders := slices.Sorted(maps.Keys(ck.ticks[e]))
+		buf = wire.AppendU32(buf, uint32(len(senders)))
 		for _, s := range senders {
-			buf = wire.AppendUint32(buf, uint32(s))
-			d := uint32(0)
-			if ticks[e][s] {
-				d = 1
-			}
-			buf = wire.AppendUint32(buf, d)
+			buf = wire.AppendU32(buf, uint32(s))
+			buf = wire.AppendBool(buf, ck.ticks[e][s])
 		}
+	}
+
+	leftIDs := slices.Sorted(maps.Keys(ck.left))
+	buf = wire.AppendU32(buf, uint32(len(leftIDs)))
+	for _, id := range leftIDs {
+		buf = wire.AppendU32(buf, uint32(id))
+	}
+
+	buf = wire.AppendU32(buf, uint32(len(ck.backlog)))
+	for _, m := range ck.backlog {
+		buf = wire.AppendU32(buf, uint32(m.from))
+		buf = wire.AppendU32(buf, uint32(m.kind))
+		buf = wire.AppendU32(buf, uint32(m.epoch))
+		buf = wire.AppendBool(buf, m.done)
+		buf = wire.AppendBytes(buf, m.payload)
 	}
 	return buf
 }
@@ -210,20 +149,21 @@ func appendEpochTicks(buf []byte, ticks map[int]map[int]bool) []byte {
 // hardened like the wire decoders: arbitrary bytes produce an error,
 // never a panic or unbounded allocation (FuzzDecodeCheckpoint).
 func decodeCheckpoint(b []byte) (*checkpoint, error) {
-	fr := wire.NewFieldReader(b)
-	magic, err := fr.Uint32()
-	if err != nil {
-		return nil, ckptErr("%v", err)
+	d := wire.NewDecoder(b)
+	ck := readCheckpoint(d)
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %w", errCheckpoint, err)
 	}
-	if magic != ckptMagic {
-		return nil, ckptErr("bad magic 0x%08x", magic)
+	return ck, nil
+}
+
+// readCheckpoint reads one checkpoint from d; d's error is the verdict.
+func readCheckpoint(d *wire.Decoder) *checkpoint {
+	if magic := d.U32(); magic != ckptMagic {
+		d.Failf("bad magic 0x%08x", magic)
 	}
-	version, err := fr.Uint32()
-	if err != nil {
-		return nil, ckptErr("%v", err)
-	}
-	if version != ckptVersion {
-		return nil, ckptErr("version %d, want %d", version, ckptVersion)
+	if version := d.U32(); version != ckptVersion {
+		d.Failf("version %d, want %d", version, ckptVersion)
 	}
 	ck := &checkpoint{
 		links:       map[int]linkState{},
@@ -231,289 +171,110 @@ func decodeCheckpoint(b []byte) (*checkpoint, error) {
 		ticks:       map[int]map[int]bool{},
 		left:        map[int]bool{},
 	}
-	if ck.fingerprint, err = readU64(fr); err != nil {
-		return nil, err
-	}
-	id, err := fr.Uint32()
-	if err != nil {
-		return nil, ckptErr("%v", err)
-	}
-	pop, err := fr.Uint32()
-	if err != nil {
-		return nil, ckptErr("%v", err)
-	}
+	ck.fingerprint = d.U64()
+	ck.id = int(d.U32())
+	ck.population = int(d.U32())
+	pop := ck.population
 	if pop < 2 || pop > ckptMaxCount {
-		return nil, ckptErr("population %d out of range", pop)
+		d.Failf("population %d out of range", pop)
 	}
-	if id >= pop {
-		return nil, ckptErr("id %d outside population %d", id, pop)
+	if ck.id >= pop {
+		d.Failf("id %d outside population %d", ck.id, pop)
 	}
-	ck.id, ck.population = int(id), int(pop)
-	epoch, err := fr.Uint32()
-	if err != nil {
-		return nil, ckptErr("%v", err)
-	}
-	ck.nextEpoch = int(epoch)
-	flag, err := fr.Uint32()
-	if err != nil {
-		return nil, ckptErr("%v", err)
-	}
-	if flag > 1 {
-		return nil, ckptErr("barrier flag %d", flag)
-	}
-	ck.barrierPending = flag == 1
-	if ck.samplerState, err = readU64(fr); err != nil {
-		return nil, err
-	}
-	if ck.coreSnap, err = fr.Bytes(); err != nil {
-		return nil, ckptErr("core snapshot: %v", err)
+	ck.nextEpoch = int(d.U32())
+	ck.barrierPending = d.Bool()
+	ck.samplerState = d.U64()
+	ck.coreSnap = d.Bytes()
+
+	// peer reads a peer id inside the population (other than this
+	// node's own when notSelf is set).
+	peer := func(what string, notSelf bool) int {
+		v := int(d.U32())
+		if v >= pop || notSelf && v == ck.id {
+			d.Failf("%s %d out of range", what, v)
+		}
+		return v
 	}
 
-	nLinks, err := fr.Uint32()
-	if err != nil {
-		return nil, ckptErr("%v", err)
-	}
-	if nLinks >= pop {
-		return nil, ckptErr("%d links for population %d", nLinks, pop)
-	}
-	for i := uint32(0); i < nLinks; i++ {
-		peer, err := fr.Uint32()
-		if err != nil {
-			return nil, ckptErr("%v", err)
+	for n := d.Count(pop - 1); n > 0; n-- {
+		id := peer("link peer", true)
+		if _, dup := ck.links[id]; dup {
+			d.Failf("duplicate link peer %d", id)
 		}
-		if peer >= pop || peer == id {
-			return nil, ckptErr("link peer %d out of range", peer)
-		}
-		if _, dup := ck.links[int(peer)]; dup {
-			return nil, ckptErr("duplicate link peer %d", peer)
-		}
-		var ls linkState
-		if ls.outSeq, err = readU64(fr); err != nil {
-			return nil, err
-		}
-		if ls.inSeq, err = readU64(fr); err != nil {
-			return nil, err
-		}
-		if ls.pruned, err = readU64(fr); err != nil {
-			return nil, err
-		}
-		nRing, err := fr.Uint32()
-		if err != nil {
-			return nil, ckptErr("%v", err)
-		}
-		if nRing > ckptMaxCount {
-			return nil, ckptErr("ring of %d frames", nRing)
-		}
+		ls := linkState{outSeq: d.U64(), inSeq: d.U64(), pruned: d.U64()}
 		prev := ls.pruned
-		for j := uint32(0); j < nRing; j++ {
-			var sf sentFrame
-			if sf.seq, err = readU64(fr); err != nil {
-				return nil, err
-			}
-			if sf.seq <= prev {
-				return nil, ckptErr("ring seq %d not ascending past %d", sf.seq, prev)
+		for j := d.Count(ckptMaxCount); j > 0; j-- {
+			sf := sentFrame{seq: d.U64(), epoch: int(d.U32()), frame: d.Bytes()}
+			switch {
+			case sf.seq <= prev:
+				d.Failf("ring seq %d not ascending past %d", sf.seq, prev)
+			case len(sf.frame) < 8:
+				d.Failf("ring frame of %d bytes", len(sf.frame))
+			case binary.BigEndian.Uint64(sf.frame) != sf.seq:
+				d.Failf("ring frame seq %d does not match entry %d", binary.BigEndian.Uint64(sf.frame), sf.seq)
 			}
 			prev = sf.seq
-			e, err := fr.Uint32()
-			if err != nil {
-				return nil, ckptErr("%v", err)
-			}
-			sf.epoch = int(e)
-			if sf.frame, err = fr.Bytes(); err != nil {
-				return nil, ckptErr("ring frame: %v", err)
-			}
-			if len(sf.frame) < 8 {
-				return nil, ckptErr("ring frame of %d bytes", len(sf.frame))
-			}
-			if got := binary.BigEndian.Uint64(sf.frame); got != sf.seq {
-				return nil, ckptErr("ring frame seq %d does not match entry %d", got, sf.seq)
-			}
 			ls.ring = append(ls.ring, sf)
 		}
-		if len(ls.ring) > 0 && ls.ring[len(ls.ring)-1].seq > ls.outSeq {
-			return nil, ckptErr("ring seq %d beyond outSeq %d", ls.ring[len(ls.ring)-1].seq, ls.outSeq)
+		if len(ls.ring) > 0 && prev > ls.outSeq {
+			d.Failf("ring seq %d beyond outSeq %d", prev, ls.outSeq)
 		}
-		ck.links[int(peer)] = ls
+		ck.links[id] = ls
 	}
 
-	if err := readEpochPayloads(fr, ck, pop); err != nil {
-		return nil, err
-	}
-	if err := readEpochTicks(fr, ck, pop); err != nil {
-		return nil, err
-	}
-
-	nLeft, err := fr.Uint32()
-	if err != nil {
-		return nil, ckptErr("%v", err)
-	}
-	if nLeft >= pop {
-		return nil, ckptErr("%d departed peers for population %d", nLeft, pop)
-	}
-	for i := uint32(0); i < nLeft; i++ {
-		peer, err := fr.Uint32()
-		if err != nil {
-			return nil, ckptErr("%v", err)
-		}
-		if peer >= pop {
-			return nil, ckptErr("departed peer %d out of range", peer)
-		}
-		ck.left[int(peer)] = true
-	}
-
-	nBacklog, err := fr.Uint32()
-	if err != nil {
-		return nil, ckptErr("%v", err)
-	}
-	if nBacklog > ckptMaxCount {
-		return nil, ckptErr("backlog of %d messages", nBacklog)
-	}
-	for i := uint32(0); i < nBacklog; i++ {
-		var m inMsg
-		from, err := fr.Uint32()
-		if err != nil {
-			return nil, ckptErr("%v", err)
-		}
-		if from >= pop || from == id {
-			return nil, ckptErr("backlog sender %d out of range", from)
-		}
-		m.from = int(from)
-		kind, err := fr.Uint32()
-		if err != nil {
-			return nil, ckptErr("%v", err)
-		}
-		if kind != uint32(mtTick) && kind != uint32(mtData) {
-			return nil, ckptErr("backlog kind 0x%02x", kind)
-		}
-		m.kind = byte(kind)
-		e, err := fr.Uint32()
-		if err != nil {
-			return nil, ckptErr("%v", err)
-		}
-		m.epoch = int(e)
-		d, err := fr.Uint32()
-		if err != nil {
-			return nil, ckptErr("%v", err)
-		}
-		if d > 1 {
-			return nil, ckptErr("backlog done flag %d", d)
-		}
-		m.done = d == 1
-		if m.payload, err = fr.Bytes(); err != nil {
-			return nil, ckptErr("backlog payload: %v", err)
-		}
-		ck.backlog = append(ck.backlog, m)
-	}
-	if err := fr.Done(); err != nil {
-		return nil, ckptErr("%v", err)
-	}
-	return ck, nil
-}
-
-func readEpochPayloads(fr *wire.FieldReader, ck *checkpoint, pop uint32) error {
-	nEpochs, err := fr.Uint32()
-	if err != nil {
-		return ckptErr("%v", err)
-	}
-	if nEpochs > ckptMaxCount {
-		return ckptErr("%d payload epochs", nEpochs)
-	}
-	for i := uint32(0); i < nEpochs; i++ {
-		e, err := fr.Uint32()
-		if err != nil {
-			return ckptErr("%v", err)
-		}
-		if _, dup := ck.pendingData[int(e)]; dup {
-			return ckptErr("duplicate payload epoch %d", e)
-		}
-		nSenders, err := fr.Uint32()
-		if err != nil {
-			return ckptErr("%v", err)
-		}
-		if nSenders >= pop {
-			return ckptErr("%d payload senders", nSenders)
+	for n := d.Count(ckptMaxCount); n > 0; n-- {
+		e := int(d.U32())
+		if _, dup := ck.pendingData[e]; dup {
+			d.Failf("duplicate payload epoch %d", e)
 		}
 		bySender := map[int][][]byte{}
-		for j := uint32(0); j < nSenders; j++ {
-			s, err := fr.Uint32()
-			if err != nil {
-				return ckptErr("%v", err)
-			}
-			if s >= pop {
-				return ckptErr("payload sender %d out of range", s)
-			}
-			if _, dup := bySender[int(s)]; dup {
-				return ckptErr("duplicate payload sender %d", s)
-			}
-			nPayloads, err := fr.Uint32()
-			if err != nil {
-				return ckptErr("%v", err)
-			}
-			if nPayloads > ckptMaxCount {
-				return ckptErr("%d payloads", nPayloads)
+		for m := d.Count(pop - 1); m > 0; m-- {
+			s := peer("payload sender", false)
+			if _, dup := bySender[s]; dup {
+				d.Failf("duplicate payload sender %d", s)
 			}
 			var payloads [][]byte
-			for k := uint32(0); k < nPayloads; k++ {
-				p, err := fr.Bytes()
-				if err != nil {
-					return ckptErr("payload: %v", err)
-				}
-				payloads = append(payloads, p)
+			for k := d.Count(ckptMaxCount); k > 0; k-- {
+				payloads = append(payloads, d.Bytes())
 			}
-			bySender[int(s)] = payloads
+			bySender[s] = payloads
 		}
-		ck.pendingData[int(e)] = bySender
+		ck.pendingData[e] = bySender
 	}
-	return nil
-}
 
-func readEpochTicks(fr *wire.FieldReader, ck *checkpoint, pop uint32) error {
-	nEpochs, err := fr.Uint32()
-	if err != nil {
-		return ckptErr("%v", err)
-	}
-	if nEpochs > ckptMaxCount {
-		return ckptErr("%d tick epochs", nEpochs)
-	}
-	for i := uint32(0); i < nEpochs; i++ {
-		e, err := fr.Uint32()
-		if err != nil {
-			return ckptErr("%v", err)
-		}
-		if _, dup := ck.ticks[int(e)]; dup {
-			return ckptErr("duplicate tick epoch %d", e)
-		}
-		nSenders, err := fr.Uint32()
-		if err != nil {
-			return ckptErr("%v", err)
-		}
-		if nSenders >= pop {
-			return ckptErr("%d tick senders", nSenders)
+	for n := d.Count(ckptMaxCount); n > 0; n-- {
+		e := int(d.U32())
+		if _, dup := ck.ticks[e]; dup {
+			d.Failf("duplicate tick epoch %d", e)
 		}
 		bySender := map[int]bool{}
-		for j := uint32(0); j < nSenders; j++ {
-			s, err := fr.Uint32()
-			if err != nil {
-				return ckptErr("%v", err)
+		for m := d.Count(pop - 1); m > 0; m-- {
+			s := peer("tick sender", false)
+			if _, dup := bySender[s]; dup {
+				d.Failf("duplicate tick sender %d", s)
 			}
-			if s >= pop {
-				return ckptErr("tick sender %d out of range", s)
-			}
-			if _, dup := bySender[int(s)]; dup {
-				return ckptErr("duplicate tick sender %d", s)
-			}
-			d, err := fr.Uint32()
-			if err != nil {
-				return ckptErr("%v", err)
-			}
-			if d > 1 {
-				return ckptErr("tick done flag %d", d)
-			}
-			bySender[int(s)] = d == 1
+			bySender[s] = d.Bool()
 		}
-		ck.ticks[int(e)] = bySender
+		ck.ticks[e] = bySender
 	}
-	return nil
+
+	for n := d.Count(pop - 1); n > 0; n-- {
+		ck.left[peer("departed peer", false)] = true
+	}
+
+	for n := d.Count(ckptMaxCount); n > 0; n-- {
+		m := inMsg{from: peer("backlog sender", true)}
+		if kind := d.U32(); kind == uint32(mtTick) || kind == uint32(mtData) {
+			m.kind = byte(kind)
+		} else {
+			d.Failf("backlog kind 0x%02x", kind)
+		}
+		m.epoch = int(d.U32())
+		m.done = d.Bool()
+		m.payload = d.Bytes()
+		ck.backlog = append(ck.backlog, m)
+	}
+	return ck
 }
 
 // writeCheckpoint captures the node's full resumable state and writes

@@ -1,19 +1,13 @@
 package transport
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-
-	"chiaroscuro/internal/wire"
-)
+import "chiaroscuro/internal/wire"
 
 // Envelope layer: every frame on a mesh connection carries one message,
 // tagged with a one-byte type. Handshake messages (hello/welcome/
 // reject) appear once per connection at dial time; tick, data and bye
-// flow for the lifetime of the mesh. Field encoding reuses the wire
-// package's length-prefixed field primitives, so the fuzzed hardening
-// of that layer covers the envelope too.
+// flow for the lifetime of the mesh. Fields use the wire package's
+// codec (docs/WIRE.md), so the fuzzed hardening of that layer covers
+// the envelope too.
 
 const (
 	// helloMagic identifies a Chiaroscuro mesh connection; a dialer
@@ -29,14 +23,14 @@ const (
 
 // Message types.
 const (
-	mtHello   byte = 0x01 // dialer's join handshake
-	mtWelcome byte = 0x02 // acceptor's join acknowledgment
-	mtReject  byte = 0x03 // acceptor's refusal (reason string)
-	mtTick    byte = 0x04 // epoch barrier: sender finished stepping this epoch
-	mtData    byte = 0x05 // protocol payload tagged with its send epoch
-	mtBye     byte = 0x06 // orderly leave after termination
-	mtKey     byte = 0x07 // key-ceremony artifact (round-tagged, pre-epoch)
-	mtResume  byte = 0x08 // dialer's reconnect handshake after a link drop
+	mtHello    byte = 0x01 // dialer's join handshake
+	mtWelcome  byte = 0x02 // acceptor's join acknowledgment
+	mtReject   byte = 0x03 // acceptor's refusal (reason string)
+	mtTick     byte = 0x04 // epoch barrier: sender finished stepping this epoch
+	mtData     byte = 0x05 // protocol payload tagged with its send epoch
+	mtBye      byte = 0x06 // orderly leave after termination
+	mtKey      byte = 0x07 // key-ceremony artifact (round-tagged, pre-epoch)
+	mtResume   byte = 0x08 // dialer's reconnect handshake after a link drop
 	mtResumeOK byte = 0x09 // acceptor's reconnect acknowledgment
 )
 
@@ -60,70 +54,40 @@ type hello struct {
 
 func marshalHello(h hello) []byte {
 	buf := []byte{mtHello}
-	buf = wire.AppendUint32(buf, helloMagic)
-	buf = wire.AppendUint32(buf, meshVersion)
-	buf = wire.AppendUint32(buf, uint32(h.ID))
-	buf = wire.AppendUint32(buf, uint32(h.Population))
-	var fp [8]byte
-	binary.BigEndian.PutUint64(fp[:], h.Fingerprint)
-	return wire.AppendBytes(buf, fp[:])
+	buf = wire.AppendU32(buf, helloMagic)
+	buf = wire.AppendU32(buf, meshVersion)
+	buf = wire.AppendU32(buf, uint32(h.ID))
+	buf = wire.AppendU32(buf, uint32(h.Population))
+	return wire.AppendU64(buf, h.Fingerprint)
+}
+
+// readGreeting reads the magic, version, id, population and
+// fingerprint that open both hello and resume.
+func readGreeting(d *wire.Decoder, what string) (id, pop int, fp uint64) {
+	if magic := d.U32(); magic != helloMagic {
+		d.Failf("transport: bad %s magic 0x%08x", what, magic)
+	}
+	if version := d.U32(); version != meshVersion {
+		d.Failf("transport: peer speaks mesh version %d, want %d", version, meshVersion)
+	}
+	return int(d.U32()), int(d.U32()), d.U64()
 }
 
 func parseHello(body []byte) (hello, error) {
-	fr := wire.NewFieldReader(body)
-	magic, err := fr.Uint32()
-	if err != nil {
-		return hello{}, err
-	}
-	if magic != helloMagic {
-		return hello{}, fmt.Errorf("transport: bad hello magic 0x%08x", magic)
-	}
-	version, err := fr.Uint32()
-	if err != nil {
-		return hello{}, err
-	}
-	if version != meshVersion {
-		return hello{}, fmt.Errorf("transport: peer speaks mesh version %d, want %d", version, meshVersion)
-	}
-	id, err := fr.Uint32()
-	if err != nil {
-		return hello{}, err
-	}
-	pop, err := fr.Uint32()
-	if err != nil {
-		return hello{}, err
-	}
-	fp, err := fr.Bytes()
-	if err != nil {
-		return hello{}, err
-	}
-	if len(fp) != 8 {
-		return hello{}, fmt.Errorf("transport: fingerprint field %d bytes, want 8", len(fp))
-	}
-	if err := fr.Done(); err != nil {
-		return hello{}, err
-	}
-	return hello{
-		ID:          int(id),
-		Population:  int(pop),
-		Fingerprint: binary.BigEndian.Uint64(fp),
-	}, nil
+	d := wire.NewDecoder(body)
+	var h hello
+	h.ID, h.Population, h.Fingerprint = readGreeting(d, "hello")
+	return h, d.Done()
 }
 
 func marshalWelcome(id int) []byte {
-	return wire.AppendUint32([]byte{mtWelcome}, uint32(id))
+	return wire.AppendU32([]byte{mtWelcome}, uint32(id))
 }
 
 func parseWelcome(body []byte) (int, error) {
-	fr := wire.NewFieldReader(body)
-	id, err := fr.Uint32()
-	if err != nil {
-		return 0, err
-	}
-	if err := fr.Done(); err != nil {
-		return 0, err
-	}
-	return int(id), nil
+	d := wire.NewDecoder(body)
+	id := d.U32()
+	return int(id), d.Done()
 }
 
 func marshalReject(reason string) []byte {
@@ -131,67 +95,44 @@ func marshalReject(reason string) []byte {
 }
 
 func parseReject(body []byte) (string, error) {
-	fr := wire.NewFieldReader(body)
-	reason, err := fr.Bytes()
-	if err != nil {
-		return "", err
-	}
-	if err := fr.Done(); err != nil {
-		return "", err
-	}
-	return string(reason), nil
+	d := wire.NewDecoder(body)
+	reason := d.Bytes()
+	return string(reason), d.Done()
 }
 
+// marshalTick is the one envelope with an unframed field: the done
+// flag travels as a single trailing byte after the epoch.
 func marshalTick(epoch int, done bool) []byte {
-	buf := wire.AppendUint32([]byte{mtTick}, uint32(epoch))
-	d := byte(0)
+	buf := wire.AppendU32([]byte{mtTick}, uint32(epoch))
 	if done {
-		d = 1
+		return append(buf, 1)
 	}
-	return append(buf, d)
+	return append(buf, 0)
 }
 
 func parseTick(body []byte) (epoch int, done bool, err error) {
-	if len(body) < 1 {
-		return 0, false, errors.New("transport: truncated tick")
+	d := wire.NewDecoder(body)
+	e := d.U32()
+	flag := d.Rest()
+	if len(flag) != 1 || flag[0] > 1 {
+		d.Failf("transport: bad tick done flag % x", flag)
 	}
-	fr := wire.NewFieldReader(body[:len(body)-1])
-	e, err := fr.Uint32()
-	if err != nil {
+	if err := d.Done(); err != nil {
 		return 0, false, err
 	}
-	if err := fr.Done(); err != nil {
-		return 0, false, err
-	}
-	switch body[len(body)-1] {
-	case 0:
-		return int(e), false, nil
-	case 1:
-		return int(e), true, nil
-	default:
-		return 0, false, fmt.Errorf("transport: bad tick done flag 0x%02x", body[len(body)-1])
-	}
+	return int(e), flag[0] == 1, nil
 }
 
 func marshalData(epoch int, payload []byte) []byte {
-	buf := wire.AppendUint32([]byte{mtData}, uint32(epoch))
+	buf := wire.AppendU32([]byte{mtData}, uint32(epoch))
 	return wire.AppendBytes(buf, payload)
 }
 
 func parseData(body []byte) (epoch int, payload []byte, err error) {
-	fr := wire.NewFieldReader(body)
-	e, err := fr.Uint32()
-	if err != nil {
-		return 0, nil, err
-	}
-	payload, err = fr.Bytes()
-	if err != nil {
-		return 0, nil, err
-	}
-	if err := fr.Done(); err != nil {
-		return 0, nil, err
-	}
-	return int(e), payload, nil
+	d := wire.NewDecoder(body)
+	e := d.U32()
+	payload = d.Bytes()
+	return int(e), payload, d.Done()
 }
 
 func marshalBye() []byte { return []byte{mtBye} }
@@ -200,8 +141,18 @@ func marshalBye() []byte { return []byte{mtBye} }
 // justification — themselves fuzz-hardened encodings) in a
 // round-tagged ceremony frame.
 func marshalKey(round int, payload []byte) []byte {
-	buf := wire.AppendUint32([]byte{mtKey}, uint32(round))
+	buf := wire.AppendU32([]byte{mtKey}, uint32(round))
 	return wire.AppendBytes(buf, payload)
+}
+
+func parseKey(body []byte) (round int, payload []byte, err error) {
+	d := wire.NewDecoder(body)
+	r := d.U32()
+	if r < keyRoundDeal || r > keyRoundJustification {
+		d.Failf("transport: unknown key-ceremony round %d", r)
+	}
+	payload = d.Bytes()
+	return int(r), payload, d.Done()
 }
 
 // resume is the reconnect handshake: after a link drop, the dialing
@@ -218,109 +169,32 @@ type resume struct {
 
 func marshalResume(r resume) []byte {
 	buf := []byte{mtResume}
-	buf = wire.AppendUint32(buf, helloMagic)
-	buf = wire.AppendUint32(buf, meshVersion)
-	buf = wire.AppendUint32(buf, uint32(r.ID))
-	buf = wire.AppendUint32(buf, uint32(r.Population))
-	var u [8]byte
-	binary.BigEndian.PutUint64(u[:], r.Fingerprint)
-	buf = wire.AppendBytes(buf, u[:])
-	binary.BigEndian.PutUint64(u[:], r.LastSeq)
-	return wire.AppendBytes(buf, u[:])
+	buf = wire.AppendU32(buf, helloMagic)
+	buf = wire.AppendU32(buf, meshVersion)
+	buf = wire.AppendU32(buf, uint32(r.ID))
+	buf = wire.AppendU32(buf, uint32(r.Population))
+	buf = wire.AppendU64(buf, r.Fingerprint)
+	return wire.AppendU64(buf, r.LastSeq)
 }
 
 func parseResume(body []byte) (resume, error) {
-	fr := wire.NewFieldReader(body)
-	magic, err := fr.Uint32()
-	if err != nil {
-		return resume{}, err
-	}
-	if magic != helloMagic {
-		return resume{}, fmt.Errorf("transport: bad resume magic 0x%08x", magic)
-	}
-	version, err := fr.Uint32()
-	if err != nil {
-		return resume{}, err
-	}
-	if version != meshVersion {
-		return resume{}, fmt.Errorf("transport: peer speaks mesh version %d, want %d", version, meshVersion)
-	}
-	id, err := fr.Uint32()
-	if err != nil {
-		return resume{}, err
-	}
-	pop, err := fr.Uint32()
-	if err != nil {
-		return resume{}, err
-	}
-	fp, err := fr.Bytes()
-	if err != nil {
-		return resume{}, err
-	}
-	if len(fp) != 8 {
-		return resume{}, fmt.Errorf("transport: fingerprint field %d bytes, want 8", len(fp))
-	}
-	seq, err := fr.Bytes()
-	if err != nil {
-		return resume{}, err
-	}
-	if len(seq) != 8 {
-		return resume{}, fmt.Errorf("transport: resume seq field %d bytes, want 8", len(seq))
-	}
-	if err := fr.Done(); err != nil {
-		return resume{}, err
-	}
-	return resume{
-		ID:          int(id),
-		Population:  int(pop),
-		Fingerprint: binary.BigEndian.Uint64(fp),
-		LastSeq:     binary.BigEndian.Uint64(seq),
-	}, nil
+	d := wire.NewDecoder(body)
+	var r resume
+	r.ID, r.Population, r.Fingerprint = readGreeting(d, "resume")
+	r.LastSeq = d.U64()
+	return r, d.Done()
 }
 
 // marshalResumeOK acknowledges a resume: the acceptor identifies
 // itself and announces its own lastSeqSeen so both sides retransmit.
 func marshalResumeOK(id int, lastSeq uint64) []byte {
-	buf := wire.AppendUint32([]byte{mtResumeOK}, uint32(id))
-	var u [8]byte
-	binary.BigEndian.PutUint64(u[:], lastSeq)
-	return wire.AppendBytes(buf, u[:])
+	buf := wire.AppendU32([]byte{mtResumeOK}, uint32(id))
+	return wire.AppendU64(buf, lastSeq)
 }
 
 func parseResumeOK(body []byte) (id int, lastSeq uint64, err error) {
-	fr := wire.NewFieldReader(body)
-	i, err := fr.Uint32()
-	if err != nil {
-		return 0, 0, err
-	}
-	seq, err := fr.Bytes()
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(seq) != 8 {
-		return 0, 0, fmt.Errorf("transport: resume-ok seq field %d bytes, want 8", len(seq))
-	}
-	if err := fr.Done(); err != nil {
-		return 0, 0, err
-	}
-	return int(i), binary.BigEndian.Uint64(seq), nil
-}
-
-func parseKey(body []byte) (round int, payload []byte, err error) {
-	fr := wire.NewFieldReader(body)
-	r, err := fr.Uint32()
-	if err != nil {
-		return 0, nil, err
-	}
-	if r < keyRoundDeal || r > keyRoundJustification {
-		return 0, nil, fmt.Errorf("transport: unknown key-ceremony round %d", r)
-	}
-	payload, err = fr.Bytes()
-	if err != nil {
-		return 0, nil, err
-	}
-	if err := fr.Done(); err != nil {
-		return 0, nil, err
-	}
-	return int(r), payload, nil
+	d := wire.NewDecoder(body)
+	i := d.U32()
+	lastSeq = d.U64()
+	return int(i), lastSeq, d.Done()
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"errors"
-	"fmt"
 	"math/big"
 )
 
@@ -18,6 +17,8 @@ import (
 // kindResidueVec tags an accounted-backend residue vector.
 const kindResidueVec byte = 0x05
 
+var errResidueModulus = errors.New("wire: invalid residue modulus")
+
 // residueWidth is the fixed body width of one residue of the ring Z_m.
 func residueWidth(m *big.Int) int { return (m.BitLen() + 7) / 8 }
 
@@ -26,78 +27,18 @@ func residueWidth(m *big.Int) int { return (m.BitLen() + 7) / 8 }
 // zero is a valid residue.
 func MarshalResidueVector(m *big.Int, vs []*big.Int) ([]byte, error) {
 	if m == nil || m.Sign() <= 0 {
-		return nil, errors.New("wire: invalid residue modulus")
+		return nil, errResidueModulus
 	}
-	width := residueWidth(m)
-	buf := make([]byte, 0, 2+4+4+len(vs)*width)
-	buf = append(buf, header(kindResidueVec)...)
-	buf = appendUint32(buf, uint32(len(vs)))
-	body := make([]byte, width)
-	for i, v := range vs {
-		if v == nil || v.Sign() < 0 || v.Cmp(m) >= 0 {
-			return nil, fmt.Errorf("wire: residue %d outside ring", i)
-		}
-		v.FillBytes(body)
-		buf = append(buf, body...)
-	}
-	return buf, nil
+	return appendVector(kindResidueVec, residueWidth(m), vs, func(v *big.Int) bool {
+		return v != nil && v.Sign() >= 0 && v.Cmp(m) < 0
+	})
 }
 
 // UnmarshalResidueVector decodes a residue vector and validates every
 // element against the modulus.
 func UnmarshalResidueVector(m *big.Int, buf []byte) ([]*big.Int, error) {
 	if m == nil || m.Sign() <= 0 {
-		return nil, errors.New("wire: invalid residue modulus")
+		return nil, errResidueModulus
 	}
-	r, err := checkHeader(buf, kindResidueVec)
-	if err != nil {
-		return nil, err
-	}
-	count, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	width := residueWidth(m)
-	if uint64(len(r.buf)) != uint64(count)*uint64(width) {
-		return nil, fmt.Errorf("wire: residue vector body %d bytes, want %d", len(r.buf), int(count)*width)
-	}
-	out := make([]*big.Int, count)
-	for i := range out {
-		v := new(big.Int).SetBytes(r.buf[:width])
-		r.buf = r.buf[width:]
-		if v.Cmp(m) >= 0 {
-			return nil, fmt.Errorf("wire: residue %d outside ring", i)
-		}
-		out[i] = v
-	}
-	return out, nil
+	return readVector(buf, kindResidueVec, residueWidth(m), func(v *big.Int) bool { return v.Cmp(m) < 0 })
 }
-
-// AppendUint32 appends a length-prefixed 4-byte big-endian scalar — the
-// exported form of the internal field builder, for composite messages
-// (the transport envelope) that embed scalars next to wire artifacts.
-func AppendUint32(buf []byte, v uint32) []byte { return appendUint32(buf, v) }
-
-// AppendBytes appends one length-prefixed opaque field.
-func AppendBytes(buf, payload []byte) []byte { return appendField(buf, payload) }
-
-// FieldReader walks the length-prefixed fields of a composite message.
-type FieldReader struct {
-	r reader
-}
-
-// NewFieldReader wraps buf (no artifact header expected).
-func NewFieldReader(buf []byte) *FieldReader { return &FieldReader{r: reader{buf: buf}} }
-
-// Uint32 reads one length-prefixed 4-byte scalar field.
-func (fr *FieldReader) Uint32() (uint32, error) { return fr.r.uint32() }
-
-// Bytes reads one length-prefixed opaque field. The returned slice
-// aliases the input buffer.
-func (fr *FieldReader) Bytes() ([]byte, error) { return fr.r.field() }
-
-// Rest returns the unread remainder of the buffer.
-func (fr *FieldReader) Rest() []byte { return fr.r.buf }
-
-// Done errors if any bytes remain unread.
-func (fr *FieldReader) Done() error { return fr.r.done() }

@@ -1,19 +1,21 @@
-// Package wire provides stable binary encodings for the protocol's
-// transportable artifacts: public keys, threshold key material, key
-// shares, ciphertexts and partial decryptions. A real Chiaroscuro
-// deployment moves these between devices; the demonstration platform
-// stores them. The format is deliberately simple and self-describing:
+// Package wire provides the one binary field codec every encoding in
+// the repository is built on (codec.go: the Append* helpers and the
+// sticky-error Decoder), the stable artifact encodings for the
+// protocol's transportable values — public keys, key shares, partial
+// decryptions, ciphertexts and ciphertext/residue vectors — and the
+// length-prefixed stream framing (frame.go). docs/WIRE.md specifies the
+// format. An artifact is
 //
 //	[1 byte kind] [1 byte version] { [4-byte big-endian length] [payload] }*
 //
-// where each payload is the minimal big-endian two's-complement-free
-// magnitude of a non-negative big.Int, or a 4-byte big-endian integer for
-// scalar fields. All values in the protocol are non-negative residues, so
-// no sign bytes are needed.
+// where each payload is the minimal big-endian magnitude of a
+// non-negative big.Int or a fixed-width scalar; the vector artifacts
+// end in unframed fixed-width bodies. Artifact values are non-negative
+// residues, so they carry no sign; the key ceremony's signed shares
+// add their own sign byte (internal/crypto/dkg).
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
@@ -44,87 +46,15 @@ var (
 // supported protocol configuration comes near this bound.
 const maxDegree = 16
 
-// appendField appends a length-prefixed big-endian field.
-func appendField(buf []byte, payload []byte) []byte {
-	var l [4]byte
-	binary.BigEndian.PutUint32(l[:], uint32(len(payload)))
-	buf = append(buf, l[:]...)
-	return append(buf, payload...)
-}
-
+// appendInt appends a non-negative big.Int as its minimal big-endian
+// magnitude. Negative values never occur in valid artifacts; they (and
+// nil) encode as empty, which round-trips to zero and fails validation
+// later.
 func appendInt(buf []byte, v *big.Int) []byte {
 	if v == nil || v.Sign() < 0 {
-		// Negative values never occur in valid artifacts; encode as
-		// empty, which round-trips to zero and fails validation later.
-		return appendField(buf, nil)
+		return AppendBytes(buf, nil)
 	}
-	return appendField(buf, v.Bytes())
-}
-
-func appendUint32(buf []byte, v uint32) []byte {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	return appendField(buf, b[:])
-}
-
-// reader walks length-prefixed fields.
-type reader struct {
-	buf []byte
-}
-
-func (r *reader) field() ([]byte, error) {
-	if len(r.buf) < 4 {
-		return nil, ErrTruncated
-	}
-	n := binary.BigEndian.Uint32(r.buf[:4])
-	r.buf = r.buf[4:]
-	if uint32(len(r.buf)) < n {
-		return nil, ErrTruncated
-	}
-	out := r.buf[:n]
-	r.buf = r.buf[n:]
-	return out, nil
-}
-
-func (r *reader) bigInt() (*big.Int, error) {
-	f, err := r.field()
-	if err != nil {
-		return nil, err
-	}
-	return new(big.Int).SetBytes(f), nil
-}
-
-func (r *reader) uint32() (uint32, error) {
-	f, err := r.field()
-	if err != nil {
-		return 0, err
-	}
-	if len(f) != 4 {
-		return 0, fmt.Errorf("wire: scalar field of %d bytes", len(f))
-	}
-	return binary.BigEndian.Uint32(f), nil
-}
-
-func (r *reader) done() error {
-	if len(r.buf) != 0 {
-		return fmt.Errorf("wire: %d trailing bytes", len(r.buf))
-	}
-	return nil
-}
-
-func header(kind byte) []byte { return []byte{kind, version} }
-
-func checkHeader(buf []byte, kind byte) (*reader, error) {
-	if len(buf) < 2 {
-		return nil, ErrTruncated
-	}
-	if buf[0] != kind {
-		return nil, fmt.Errorf("%w: got 0x%02x, want 0x%02x", ErrBadKind, buf[0], kind)
-	}
-	if buf[1] != version {
-		return nil, fmt.Errorf("%w: %d", ErrBadVer, buf[1])
-	}
-	return &reader{buf: buf[2:]}, nil
+	return AppendBytes(buf, v.Bytes())
 }
 
 // MarshalPublicKey encodes (n, s).
@@ -132,27 +62,18 @@ func MarshalPublicKey(pk *damgardjurik.PublicKey) ([]byte, error) {
 	if pk == nil || pk.N == nil {
 		return nil, errors.New("wire: nil public key")
 	}
-	buf := header(kindPublicKey)
+	buf := AppendHeader(nil, kindPublicKey, version)
 	buf = appendInt(buf, pk.N)
-	buf = appendUint32(buf, uint32(pk.S))
-	return buf, nil
+	return AppendU32(buf, uint32(pk.S)), nil
 }
 
 // UnmarshalPublicKey decodes a public key and rebuilds its caches.
 func UnmarshalPublicKey(buf []byte) (*damgardjurik.PublicKey, error) {
-	r, err := checkHeader(buf, kindPublicKey)
-	if err != nil {
-		return nil, err
-	}
-	n, err := r.bigInt()
-	if err != nil {
-		return nil, err
-	}
-	s, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if err := r.done(); err != nil {
+	d := NewDecoder(buf)
+	d.Header(kindPublicKey, version)
+	n := new(big.Int).SetBytes(d.Bytes())
+	s := d.U32()
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	if s < 1 || s > maxDegree {
@@ -167,33 +88,16 @@ func MarshalKeyShare(ks damgardjurik.KeyShare) ([]byte, error) {
 	if ks.Value == nil || ks.Index < 1 {
 		return nil, errors.New("wire: invalid key share")
 	}
-	buf := header(kindKeyShare)
-	buf = appendUint32(buf, uint32(ks.Index))
-	buf = appendInt(buf, ks.Value)
-	return buf, nil
+	return appendIndexed(kindKeyShare, ks.Index, ks.Value), nil
 }
 
 // UnmarshalKeyShare decodes a key share.
 func UnmarshalKeyShare(buf []byte) (damgardjurik.KeyShare, error) {
-	r, err := checkHeader(buf, kindKeyShare)
+	idx, v, err := readIndexed(buf, kindKeyShare)
 	if err != nil {
 		return damgardjurik.KeyShare{}, err
 	}
-	idx, err := r.uint32()
-	if err != nil {
-		return damgardjurik.KeyShare{}, err
-	}
-	v, err := r.bigInt()
-	if err != nil {
-		return damgardjurik.KeyShare{}, err
-	}
-	if err := r.done(); err != nil {
-		return damgardjurik.KeyShare{}, err
-	}
-	if idx < 1 {
-		return damgardjurik.KeyShare{}, errors.New("wire: key share index 0")
-	}
-	return damgardjurik.KeyShare{Index: int(idx), Value: v}, nil
+	return damgardjurik.KeyShare{Index: idx, Value: v}, nil
 }
 
 // MarshalPartial encodes a partial decryption.
@@ -201,33 +105,39 @@ func MarshalPartial(p damgardjurik.PartialDecryption) ([]byte, error) {
 	if p.Value == nil || p.Index < 1 {
 		return nil, errors.New("wire: invalid partial decryption")
 	}
-	buf := header(kindPartial)
-	buf = appendUint32(buf, uint32(p.Index))
-	buf = appendInt(buf, p.Value)
-	return buf, nil
+	return appendIndexed(kindPartial, p.Index, p.Value), nil
 }
 
 // UnmarshalPartial decodes a partial decryption.
 func UnmarshalPartial(buf []byte) (damgardjurik.PartialDecryption, error) {
-	r, err := checkHeader(buf, kindPartial)
+	idx, v, err := readIndexed(buf, kindPartial)
 	if err != nil {
 		return damgardjurik.PartialDecryption{}, err
 	}
-	idx, err := r.uint32()
-	if err != nil {
-		return damgardjurik.PartialDecryption{}, err
-	}
-	v, err := r.bigInt()
-	if err != nil {
-		return damgardjurik.PartialDecryption{}, err
-	}
-	if err := r.done(); err != nil {
-		return damgardjurik.PartialDecryption{}, err
+	return damgardjurik.PartialDecryption{Index: idx, Value: v}, nil
+}
+
+// appendIndexed encodes the (index, value) layout key shares and
+// partial decryptions share.
+func appendIndexed(kind byte, index int, v *big.Int) []byte {
+	buf := AppendHeader(nil, kind, version)
+	buf = AppendU32(buf, uint32(index))
+	return appendInt(buf, v)
+}
+
+// readIndexed decodes an appendIndexed artifact; index 0 is invalid.
+func readIndexed(buf []byte, kind byte) (int, *big.Int, error) {
+	d := NewDecoder(buf)
+	d.Header(kind, version)
+	idx := d.U32()
+	v := new(big.Int).SetBytes(d.Bytes())
+	if err := d.Done(); err != nil {
+		return 0, nil, err
 	}
 	if idx < 1 {
-		return damgardjurik.PartialDecryption{}, errors.New("wire: partial index 0")
+		return 0, nil, fmt.Errorf("wire: artifact 0x%02x with index 0", kind)
 	}
-	return damgardjurik.PartialDecryption{Index: int(idx), Value: v}, nil
+	return int(idx), v, nil
 }
 
 // MarshalCiphertext encodes one ciphertext, fixed-width against the given
@@ -240,26 +150,18 @@ func MarshalCiphertext(pk *damgardjurik.PublicKey, c *big.Int) ([]byte, error) {
 	if c == nil || c.Sign() <= 0 || c.Cmp(pk.CiphertextModulus()) >= 0 {
 		return nil, errors.New("wire: ciphertext out of range")
 	}
-	width := pk.CiphertextBytes()
-	buf := make([]byte, 0, 2+4+width)
-	buf = append(buf, header(kindCipher)...)
-	payload := make([]byte, width)
+	payload := make([]byte, pk.CiphertextBytes())
 	c.FillBytes(payload)
-	return appendField(buf, payload), nil
+	return AppendBytes(AppendHeader(make([]byte, 0, 2+4+len(payload)), kindCipher, version), payload), nil
 }
 
 // UnmarshalCiphertext decodes a ciphertext and validates it against the
 // public key.
 func UnmarshalCiphertext(pk *damgardjurik.PublicKey, buf []byte) (*big.Int, error) {
-	r, err := checkHeader(buf, kindCipher)
-	if err != nil {
-		return nil, err
-	}
-	f, err := r.field()
-	if err != nil {
-		return nil, err
-	}
-	if err := r.done(); err != nil {
+	d := NewDecoder(buf)
+	d.Header(kindCipher, version)
+	f := d.Bytes()
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	if len(f) != pk.CiphertextBytes() {
@@ -278,43 +180,57 @@ func MarshalCiphertextVector(pk *damgardjurik.PublicKey, cs []*big.Int) ([]byte,
 	if pk == nil {
 		return nil, errors.New("wire: nil public key")
 	}
-	width := pk.CiphertextBytes()
-	buf := make([]byte, 0, 2+4+len(cs)*width)
-	buf = append(buf, header(kindCipher)...)
-	buf = appendUint32(buf, uint32(len(cs)))
+	ns1 := pk.CiphertextModulus()
+	return appendVector(kindCipher, pk.CiphertextBytes(), cs, func(c *big.Int) bool {
+		return c != nil && c.Sign() > 0 && c.Cmp(ns1) < 0
+	})
+}
+
+// UnmarshalCiphertextVector decodes a ciphertext vector.
+func UnmarshalCiphertextVector(pk *damgardjurik.PublicKey, buf []byte) ([]*big.Int, error) {
+	ns1 := pk.CiphertextModulus()
+	return readVector(buf, kindCipher, pk.CiphertextBytes(), func(c *big.Int) bool {
+		return c.Sign() > 0 && c.Cmp(ns1) < 0
+	})
+}
+
+// appendVector encodes header, U32 count, then one width-byte
+// big-endian body per element; every element must pass valid.
+func appendVector(kind byte, width int, vs []*big.Int, valid func(*big.Int) bool) ([]byte, error) {
+	buf := AppendHeader(make([]byte, 0, 2+8+len(vs)*width), kind, version)
+	buf = AppendU32(buf, uint32(len(vs)))
 	body := make([]byte, width)
-	for i, c := range cs {
-		if c == nil || c.Sign() <= 0 || c.Cmp(pk.CiphertextModulus()) >= 0 {
-			return nil, fmt.Errorf("wire: ciphertext %d out of range", i)
+	for i, v := range vs {
+		if !valid(v) {
+			return nil, fmt.Errorf("wire: vector element %d out of range", i)
 		}
-		c.FillBytes(body)
+		v.FillBytes(body)
 		buf = append(buf, body...)
 	}
 	return buf, nil
 }
 
-// UnmarshalCiphertextVector decodes a ciphertext vector.
-func UnmarshalCiphertextVector(pk *damgardjurik.PublicKey, buf []byte) ([]*big.Int, error) {
-	r, err := checkHeader(buf, kindCipher)
-	if err != nil {
+// readVector decodes an appendVector encoding: the unframed tail must
+// be exactly count bodies, and every element must pass valid.
+func readVector(buf []byte, kind byte, width int, valid func(*big.Int) bool) ([]*big.Int, error) {
+	d := NewDecoder(buf)
+	d.Header(kind, version)
+	count := d.U32()
+	body := d.Rest()
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
-	count, err := r.uint32()
-	if err != nil {
-		return nil, err
-	}
-	width := pk.CiphertextBytes()
-	if uint64(len(r.buf)) != uint64(count)*uint64(width) {
-		return nil, fmt.Errorf("wire: vector body %d bytes, want %d", len(r.buf), int(count)*width)
+	if uint64(len(body)) != uint64(count)*uint64(width) {
+		return nil, fmt.Errorf("wire: vector body %d bytes, want %d×%d", len(body), count, width)
 	}
 	out := make([]*big.Int, count)
 	for i := range out {
-		c := new(big.Int).SetBytes(r.buf[:width])
-		r.buf = r.buf[width:]
-		if c.Sign() <= 0 || c.Cmp(pk.CiphertextModulus()) >= 0 {
-			return nil, fmt.Errorf("wire: ciphertext %d out of range", i)
+		v := new(big.Int).SetBytes(body[:width])
+		body = body[width:]
+		if !valid(v) {
+			return nil, fmt.Errorf("wire: vector element %d out of range", i)
 		}
-		out[i] = c
+		out[i] = v
 	}
 	return out, nil
 }
