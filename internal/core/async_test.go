@@ -152,15 +152,15 @@ func TestDecodeRejectsOverBudgetExponent(t *testing.T) {
 		}
 		pt.diptych.Means = st
 		pt.pendingCT = vals[:r.sideCiphers]
-		pt.partials = map[int][]Partial{}
+		pt.partials = nil
 		for party := 1; party <= r.suite.Threshold(); party++ {
 			parts := make([]Partial, len(pt.pendingCT))
 			for i, c := range pt.pendingCT {
-				if parts[i], err = r.suite.PartialDecrypt(party, c); err != nil {
+				if parts[i], err = partialOf(r.suite, party, c); err != nil {
 					t.Fatal(err)
 				}
 			}
-			pt.partials[party] = parts
+			pt.partials = append(pt.partials, parts) // ascending by party
 		}
 		n := float64(r.population)
 		for _, tc := range []struct {

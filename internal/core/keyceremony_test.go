@@ -158,13 +158,13 @@ func TestDJMaterialSparseShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cs.PartialDecrypt(3, c); err != nil {
+	if _, err := partialOf(cs, 3, c); err != nil {
 		t.Fatalf("own share refused: %v", err)
 	}
-	if _, err := cs.PartialDecrypt(1, c); err == nil || !strings.Contains(err.Error(), "no key share") {
+	if _, err := partialOf(cs, 1, c); err == nil || !strings.Contains(err.Error(), "no key share") {
 		t.Fatalf("foreign share answered locally: %v", err)
 	}
-	if _, err := cs.PartialDecrypt(parties+1, c); err == nil {
+	if _, err := partialOf(cs, parties+1, c); err == nil {
 		t.Fatal("out-of-range party accepted")
 	}
 
@@ -193,7 +193,7 @@ func TestDJMaterialSparseShares(t *testing.T) {
 	for p := 1; p <= threshold; p++ {
 		row := make([]Partial, len(back))
 		for i, c := range back {
-			if row[i], err = full.PartialDecrypt(p, c); err != nil {
+			if row[i], err = partialOf(full, p, c); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"chiaroscuro/internal/gossip"
@@ -21,7 +22,7 @@ func midGossipPayloads(t testing.TB, m *memMesh) (gossipRaw, reqRaw, respRaw []b
 	req := &decryptRequest{Iter: p.iter, Ciphers: st.Values()[:r.sideCiphers]}
 	resp := &decryptResponse{Iter: p.iter}
 	for _, c := range req.Ciphers {
-		pd, err := r.suite.PartialDecrypt(2, c)
+		pd, err := partialOf(r.suite, 2, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,13 +75,14 @@ func TestFixtureSnapshotAndPayloads(t *testing.T) {
 	// ask early, as a faster responder would, so a partial set is held.
 	var early []Partial
 	for _, c := range nd.pt.pendingCT {
-		pd, err := nd.pt.run.suite.PartialDecrypt(2, c)
+		pd, err := partialOf(nd.pt.run.suite, 2, c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		early = append(early, pd)
 	}
-	nd.pt.partials[2] = early
+	at, _ := slices.BinarySearchFunc(nd.pt.partials, 2, cmpPartials)
+	nd.pt.partials = slices.Insert(nd.pt.partials, at, early)
 	snap, err = nd.Snapshot()
 	if err != nil {
 		t.Fatal(err)

@@ -543,8 +543,8 @@ type mutCipherSuite interface {
 	NewScratchVector(n int) ([]Cipher, error)
 	// EncryptInto is Encrypt writing into dst's storage.
 	EncryptInto(dst Cipher, m *big.Int) error
-	// RefreshCipherInPlace is Refresh mutating c.
-	RefreshCipherInPlace(c Cipher) error
+	// RefreshCiphersInPlace is Refresh mutating every cipher of cs.
+	RefreshCiphersInPlace(cs []Cipher) error
 	// DoubleCipherInPlace is Double mutating c.
 	DoubleCipherInPlace(c Cipher, k uint) error
 	// AddCipherInPlace sets acc += v, mutating only acc.
@@ -570,9 +570,9 @@ func (r *mutCipherRing) DoubleInPlace(a Cipher, k uint) {
 	}
 }
 
-// RefreshInPlace implements gossip.MutRefresher.
-func (r *mutCipherRing) RefreshInPlace(a Cipher) {
-	if err := r.ms.RefreshCipherInPlace(a); err != nil {
+// RefreshAllInPlace implements gossip.MutRefresher.
+func (r *mutCipherRing) RefreshAllInPlace(vs []Cipher) {
+	if err := r.ms.RefreshCiphersInPlace(vs); err != nil {
 		panic(fmt.Sprintf("core: cipher refresh in place: %v", err))
 	}
 }

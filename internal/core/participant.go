@@ -1,12 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"chiaroscuro/internal/compactrng"
 	"chiaroscuro/internal/dp"
@@ -42,10 +43,12 @@ type gossipPayload struct {
 }
 
 // decryptRequest asks a peer for partial decryptions of the requester's
-// perturbed-mean ciphertexts.
+// perturbed-mean ciphertexts. On the hot path it also posts reply: the
+// requester-owned response the peer fills and sends back (decryptAsk).
 type decryptRequest struct {
 	Iter    int
 	Ciphers []Cipher
+	reply   *decryptResponse
 }
 
 // decryptResponse carries one partial decryption per requested cipher,
@@ -53,6 +56,22 @@ type decryptRequest struct {
 type decryptResponse struct {
 	Iter     int
 	Partials []Partial
+}
+
+// decryptAsk is one posted ask of the hot path's request window: the
+// request sent to one peer and the reply storage that peer writes its
+// partials into. The requester owns both, so serving an ask allocates
+// nothing.
+type decryptAsk struct {
+	req  decryptRequest
+	resp decryptResponse
+}
+
+// pendingAsk is one in-flight ask of the request window: the peer and
+// its remaining patience in decrypt activations.
+type pendingAsk struct {
+	peer p2p.NodeID
+	ttl  int
 }
 
 // Diptych is the twofold data structure of Sec. II.B: the cleartext but
@@ -122,14 +141,21 @@ type participant struct {
 	diptych    Diptych
 	assignment int
 	waitCycles int
-	partials   map[int][]Partial // responder share index -> per-cipher partials
-	pendingCT  []Cipher          // perturbed ciphertexts awaiting decryption
-	asked      map[p2p.NodeID]bool
-	// outstanding tracks the in-flight decrypt asks of the request
-	// window: peer -> remaining patience in decrypt activations. An ask
+	pendingCT  []Cipher // perturbed ciphertexts awaiting decryption
+	// The decrypt-phase collections are small slices kept sorted, so
+	// they need no per-iteration maps and no sort before Combine.
+	// partials holds the collected per-responder partial sets, ascending
+	// by share index — the order CombineColumns takes. asked lists the
+	// peers asked this iteration, ascending. outstanding tracks the
+	// in-flight asks of the request window, ascending by peer: an ask
 	// leaves the window when its response arrives or its TTL runs out
-	// (the peer stays in asked either way — it is never re-asked).
-	outstanding map[p2p.NodeID]int
+	// (an expired peer also leaves asked, to be re-asked later).
+	partials    [][]Partial
+	asked       []p2p.NodeID
+	outstanding []pendingAsk
+	// req is the classic path's request of the current iteration, shared
+	// by all its asks and never mutated once sent.
+	req         *decryptRequest
 	history     []IterationResult
 	staleDrops  int
 	decryptFail int
@@ -183,6 +209,21 @@ type participant struct {
 	contrib      []Cipher
 	emitMsgs     [2]gossip.Message[Cipher]
 	emitPayloads [2]gossipPayload
+	// pendingBuf is the arena vector step 2c writes pendingCT into, and
+	// asks[:nAsks] are this iteration's posted asks (see postAsk). Both
+	// are reused from one iteration to the next under the same BSP
+	// bound: every request of an iteration is served, and every reply
+	// written, before the requester can enter its next decrypt phase.
+	pendingBuf []Cipher
+	asks       []decryptAsk
+	nAsks      int
+
+	// Both paths: plains/decoded are decodeAll's output buffers, and
+	// scratch is the one big.Int that encodes (step 1) and sign-unwraps
+	// (step 3) each coordinate in turn.
+	plains  []*big.Int
+	decoded []float64
+	scratch big.Int
 }
 
 // runShared is configuration and services shared by all participants of
@@ -281,13 +322,25 @@ func (pt *participant) Reset() {
 	pt.phase = phaseAssign
 	pt.roundsDone = 0
 	pt.diptych.Means = nil
-	pt.partials = nil
-	pt.pendingCT = nil
-	pt.asked = nil
-	pt.outstanding = nil
+	pt.clearDecrypt()
+	// A fresh pending vector: the iteration restarts, and a request for
+	// it must not match a responder's memo of the previous attempt's.
+	pt.pendingBuf = nil
 	pt.waitCycles = 0
 	pt.servedCiphers = nil
 	pt.servedParts = nil
+}
+
+// clearDecrypt empties the decrypt-phase state, keeping the capacity
+// of its buffers (references are cleared so they pin nothing).
+func (pt *participant) clearDecrypt() {
+	pt.pendingCT = nil
+	clear(pt.partials)
+	pt.partials = pt.partials[:0]
+	pt.asked = pt.asked[:0]
+	pt.outstanding = pt.outstanding[:0]
+	pt.req = nil
+	pt.nAsks = 0
 }
 
 // --- Step 1: assignment (local) -------------------------------------------
@@ -512,13 +565,15 @@ func (pt *participant) packSide(xs []float64) ([]*big.Int, error) {
 	return r.layout.Pack(enc)
 }
 
-// encodeValue fixed-point-encodes x into the plaintext ring. The sign
-// wrap runs in place against the cached M/2 (the per-coordinate hot
+// encodeValue fixed-point-encodes x into the plaintext ring, in the
+// participant's scratch: the result is valid until the next encode, and
+// both callers hand it straight to an encryption that copies it. The
+// sign wrap runs in place against the cached M/2 (the per-coordinate hot
 // form of fixedpoint.WrapSigned).
 func (pt *participant) encodeValue(x float64) (*big.Int, error) {
 	r := pt.run
-	v, err := r.codec.Encode(x)
-	if err != nil {
+	v := &pt.scratch
+	if err := r.codec.EncodeInto(v, x); err != nil {
 		return nil, err
 	}
 	if err := fixedpoint.WrapSignedInPlace(v, r.plainMod, r.halfMod); err != nil {
@@ -569,10 +624,7 @@ func (pt *participant) stepGossip(ctx Env) {
 	if pt.roundsDone >= r.params.GossipRounds {
 		pt.phase = phaseDecrypt
 		pt.waitCycles = 0
-		pt.partials = make(map[int][]Partial)
-		pt.asked = make(map[p2p.NodeID]bool)
-		pt.outstanding = make(map[p2p.NodeID]int)
-		pt.pendingCT = nil
+		pt.clearDecrypt()
 	}
 }
 
@@ -779,19 +831,16 @@ func (pt *participant) handleGossips(ctx Env, gs []*gossipPayload) {
 func (pt *participant) stepDecrypt(ctx Env, responses []*decryptResponse) {
 	r := pt.run
 	if pt.pendingCT == nil {
-		// Step 2c: homomorphically add the gossiped encrypted noise to
-		// the gossiped encrypted means — the aggregate that will be
-		// disclosed is perturbed *before* anyone can decrypt it.
-		vals := pt.diptych.Means.Values()
-		cts := make([]Cipher, r.sideCiphers)
-		for i := 0; i < r.sideCiphers; i++ {
-			c, err := r.suite.Add(vals[i], vals[r.sideCiphers+i])
-			if err != nil {
-				panic(err)
-			}
-			cts[i] = c
+		pt.pendingCT = pt.perturbMeans()
+		if pt.asked == nil {
+			// First decrypt phase: size the collections for a fault-free
+			// quorum — one wave of threshold asks, all answered — plus
+			// room for a slow quorum's escalation.
+			t := r.suite.Threshold()
+			pt.partials = make([][]Partial, 0, t+1)
+			pt.asked = make([]p2p.NodeID, 0, 2*t)
+			pt.outstanding = make([]pendingAsk, 0, t+1)
 		}
-		pt.pendingCT = cts
 	}
 	for _, resp := range responses {
 		if resp.Iter != pt.iter || len(resp.Partials) != len(pt.pendingCT) {
@@ -803,9 +852,13 @@ func (pt *participant) stepDecrypt(ctx Env, responses []*decryptResponse) {
 		idx := resp.Partials[0].Index
 		// The responder's node id is its share index - 1: its ask (if
 		// still in flight) is now settled.
-		delete(pt.outstanding, p2p.NodeID(idx-1))
-		if _, dup := pt.partials[idx]; !dup {
-			pt.partials[idx] = resp.Partials
+		peer := p2p.NodeID(idx - 1)
+		if i, ok := slices.BinarySearchFunc(pt.outstanding, peer, cmpAsk); ok {
+			pt.outstanding = slices.Delete(pt.outstanding, i, i+1)
+		}
+		// Duplicate responses are idempotent: the first set is kept.
+		if i, dup := slices.BinarySearchFunc(pt.partials, idx, cmpPartials); !dup {
+			pt.partials = slices.Insert(pt.partials, i, resp.Partials)
 		}
 	}
 	if len(pt.partials) >= r.suite.Threshold() {
@@ -816,8 +869,7 @@ func (pt *participant) stepDecrypt(ctx Env, responses []*decryptResponse) {
 	// asks in flight instead of blasting threshold+1 fresh peers every
 	// cycle.
 	missing := r.suite.Threshold() - len(pt.partials)
-	req := &decryptRequest{Iter: pt.iter, Ciphers: pt.pendingCT}
-	pt.topUpAsks(ctx, missing, req, len(pt.pendingCT)*r.suite.CipherBytes()+8)
+	pt.topUpAsks(ctx, missing, len(pt.pendingCT)*r.suite.CipherBytes()+8)
 	pt.waitCycles++
 	if pt.waitCycles > r.params.DecryptWindow {
 		// Could not assemble a quorum (heavy churn): degrade by keeping
@@ -825,6 +877,49 @@ func (pt *participant) stepDecrypt(ctx Env, responses []*decryptResponse) {
 		pt.decryptFail++
 		pt.finishIteration(ctx, true)
 	}
+}
+
+// cmpAsk orders the request window by peer id.
+func cmpAsk(a pendingAsk, peer p2p.NodeID) int { return cmp.Compare(a.peer, peer) }
+
+// cmpPartials orders collected partial sets by their share index.
+func cmpPartials(set []Partial, idx int) int { return cmp.Compare(set[0].Index, idx) }
+
+// perturbMeans is step 2c: homomorphically add the gossiped encrypted
+// noise to the gossiped encrypted means, so the aggregate that will be
+// disclosed is perturbed *before* anyone can decrypt it. The hot path
+// writes the sums into the participant's own arena vector; the counted
+// operations are the same one Add per cipher either way.
+func (pt *participant) perturbMeans() []Cipher {
+	r := pt.run
+	v := pt.diptych.Means.V
+	if r.mut == nil {
+		cts := make([]Cipher, r.sideCiphers)
+		for i := range cts {
+			c, err := r.suite.Add(v[i], v[r.sideCiphers+i])
+			if err != nil {
+				panic(err)
+			}
+			cts[i] = c
+		}
+		return cts
+	}
+	if pt.pendingBuf == nil {
+		buf, err := r.mut.NewScratchVector(r.sideCiphers)
+		if err != nil {
+			panic(err) // arena sizing is validated at prepareRun time
+		}
+		pt.pendingBuf = buf
+	}
+	for i, c := range pt.pendingBuf {
+		if err := r.mut.SetCipher(c, v[i]); err != nil {
+			panic(err)
+		}
+		if err := r.mut.AddCipherInPlace(c, v[r.sideCiphers+i]); err != nil {
+			panic(err)
+		}
+	}
+	return pt.pendingBuf
 }
 
 // askTTL is the patience of one in-flight decrypt ask, in decrypt
@@ -838,25 +933,24 @@ const askTTL = 3
 // redraws, so already-asked draws don't silently shrink the wave — until
 // the window again holds `missing` asks (progressively more as the
 // quorum drags) or the candidate pool is exhausted.
-func (pt *participant) topUpAsks(ctx Env, missing int, req *decryptRequest, bytes int) {
-	if pt.outstanding == nil {
-		// Restored snapshots may re-enter the decrypt phase without a
-		// window (pre-v2 snapshots carry none).
-		pt.outstanding = make(map[p2p.NodeID]int)
-	}
-	for peer, ttl := range pt.outstanding {
-		if ttl <= 1 {
+func (pt *participant) topUpAsks(ctx Env, missing int, bytes int) {
+	live := pt.outstanding[:0]
+	for _, a := range pt.outstanding {
+		if a.ttl <= 1 {
 			// Expired unanswered: the peer may have crashed, rejoined, or
 			// the messages may have dropped. Release it for re-asking —
-			// duplicate responses are idempotent (the partials map keeps
-			// the first) — so a small pool under churn keeps its liveness
+			// duplicate responses are idempotent (the first partial set
+			// is kept) — so a small pool under churn keeps its liveness
 			// instead of exhausting permanently.
-			delete(pt.outstanding, peer)
-			delete(pt.asked, peer)
-		} else {
-			pt.outstanding[peer] = ttl - 1
+			if i, ok := slices.BinarySearch(pt.asked, a.peer); ok {
+				pt.asked = slices.Delete(pt.asked, i, i+1)
+			}
+			continue
 		}
+		a.ttl--
+		live = append(live, a)
 	}
+	pt.outstanding = live
 	// Progressive escalation: each elapsed TTL without a settled quorum
 	// widens the window by one, so dead or slow responders cannot
 	// serialize the remaining waves — and a window burning toward its
@@ -877,16 +971,53 @@ func (pt *participant) topUpAsks(ctx Env, missing int, req *decryptRequest, byte
 		if !ok {
 			return
 		}
-		if pt.asked[peer] {
+		i, asked := slices.BinarySearch(pt.asked, peer)
+		if asked {
 			continue
 		}
-		pt.asked[peer] = true
-		pt.outstanding[peer] = askTTL
+		pt.asked = slices.Insert(pt.asked, i, peer)
+		j, _ := slices.BinarySearchFunc(pt.outstanding, peer, cmpAsk)
+		pt.outstanding = slices.Insert(pt.outstanding, j, pendingAsk{peer: peer, ttl: askTTL})
 		pt.decryptReqs++
 		pt.decryptReqBytes += int64(bytes)
-		_ = ctx.Send(peer, req, bytes)
+		_ = ctx.Send(peer, pt.askRequest(), bytes)
 		need--
 	}
+}
+
+// askRequest returns the request for one more ask of this iteration: a
+// posted ask on the hot path, else the iteration's shared request.
+func (pt *participant) askRequest() *decryptRequest {
+	if pt.run.mut != nil {
+		return pt.postAsk()
+	}
+	if pt.req == nil {
+		pt.req = &decryptRequest{Iter: pt.iter, Ciphers: pt.pendingCT}
+	}
+	return pt.req
+}
+
+// postAsk hands out the next ask slot of the iteration, its reply
+// storage included. Slots are reused across iterations but never within
+// one: a slot's reply stays collected (or may still be written by a
+// late responder) until the iteration ends. Growing allocates all-new
+// slots and copies nothing: the posted ones stay where their asks point,
+// since a responder may be writing a reply into one right now.
+func (pt *participant) postAsk() *decryptRequest {
+	r := pt.run
+	if pt.nAsks == len(pt.asks) {
+		n, sc := max(2*len(pt.asks), r.suite.Threshold()), r.sideCiphers
+		asks := make([]decryptAsk, n)
+		replies := make([]Partial, n*sc)
+		for i := range asks {
+			asks[i].resp.Partials = replies[i*sc : (i+1)*sc : (i+1)*sc]
+		}
+		pt.asks = asks
+	}
+	a := &pt.asks[pt.nAsks]
+	pt.nAsks++
+	a.req = decryptRequest{Iter: pt.iter, Ciphers: pt.pendingCT, reply: &a.resp}
+	return &a.req
 }
 
 // serveDecrypt is the always-on decryption service: any alive participant
@@ -897,34 +1028,47 @@ func (pt *participant) topUpAsks(ctx Env, missing int, req *decryptRequest, byte
 // is the identity of the request's cipher slice — servedCiphers keeps
 // that slice alive, so a match guarantees the cached partials belong to
 // exactly these ciphertexts.
+//
+// A posted ask (req.reply set) is answered in the requester's own reply
+// storage; other requests get a fresh response, sharing the memo's
+// partials on a hit.
 func (pt *participant) serveDecrypt(ctx Env, from p2p.NodeID, req *decryptRequest) {
 	r := pt.run
 	share := int(pt.id) + 1
 	if share > r.suite.Parties() {
 		return
 	}
+	resp := req.reply
 	var parts []Partial
+	if resp != nil && cap(resp.Partials) >= len(req.Ciphers) {
+		parts = resp.Partials[:len(req.Ciphers)]
+	} else {
+		resp = &decryptResponse{}
+	}
 	if len(req.Ciphers) > 0 && pt.servedCiphers != nil &&
 		pt.servedIter == req.Iter &&
 		len(pt.servedCiphers) == len(req.Ciphers) &&
 		&pt.servedCiphers[0] == &req.Ciphers[0] {
 		pt.servedHits++
-		parts = pt.servedParts
+		if parts == nil {
+			parts = pt.servedParts
+		} else {
+			copy(parts, pt.servedParts)
+		}
 	} else {
-		parts = make([]Partial, len(req.Ciphers))
-		for i, c := range req.Ciphers {
-			p, err := r.suite.PartialDecrypt(share, c)
-			if err != nil {
-				return
-			}
-			parts[i] = p
+		if parts == nil {
+			parts = make([]Partial, len(req.Ciphers))
+		}
+		if r.suite.PartialDecrypt(share, parts, req.Ciphers) != nil {
+			return
 		}
 		pt.servedIter = req.Iter
 		pt.servedCiphers = req.Ciphers
 		pt.servedParts = parts
 	}
 	respBytes := len(parts)*r.suite.CipherBytes() + 8
-	resp := &decryptResponse{Iter: req.Iter, Partials: parts}
+	resp.Iter = req.Iter
+	resp.Partials = parts
 	if ctx.Send(from, resp, respBytes) == nil {
 		pt.decryptRespBytes += int64(respBytes)
 	}
@@ -976,13 +1120,15 @@ func (pt *participant) finishIteration(ctx Env, failed bool) {
 				if cnt < minCount {
 					continue
 				}
-				c := make([]float64, r.dim)
-				for t := 0; t < r.dim; t++ {
+				// The row is this call's fresh copy: the mean is written
+				// into it, and only a smoothing method allocates anew.
+				c := newCentroids[j]
+				for t := range c {
 					c[t] = decoded[j*per+t] / cnt
 				}
 				newCentroids[j] = smooth(c, r.params.Smoothing)
 				if r.params.MaxValue > 0 {
-					newCentroids[j] = timeseries.Clamp(newCentroids[j], 0, r.params.MaxValue)
+					timeseries.ClampInPlace(newCentroids[j], 0, r.params.MaxValue)
 				}
 			}
 		}
@@ -993,10 +1139,16 @@ func (pt *participant) finishIteration(ctx Env, failed bool) {
 	if n := len(pt.history); n > 0 {
 		prevInertia = pt.history[n-1].PerturbedInertia
 	}
+	if pt.history == nil {
+		pt.history = make([]IterationResult, 0, r.params.Iterations)
+	}
+	// The record shares the new centroid matrix with the diptych: a
+	// centroid matrix is never mutated once built (every update, here and
+	// at late synchronization, replaces it).
 	pt.history = append(pt.history, IterationResult{
 		Iteration:          pt.iter,
 		Epsilon:            r.epsSched[pt.iter],
-		PerturbedCentroids: deepCopyMatrix(newCentroids),
+		PerturbedCentroids: newCentroids,
 		PerturbedCounts:    counts,
 		PerturbedInertia:   inertia,
 		Assignment:         pt.assignment,
@@ -1006,10 +1158,7 @@ func (pt *participant) finishIteration(ctx Env, failed bool) {
 	})
 
 	pt.diptych.Centroids = newCentroids
-	pt.pendingCT = nil
-	pt.partials = nil
-	pt.asked = nil
-	pt.outstanding = nil
+	pt.clearDecrypt()
 
 	converged := r.params.ConvergeThreshold > 0 && disp <= r.params.ConvergeThreshold && !failed
 	// Footnote-2 criterion: stop when the tracked quality plateaus.
@@ -1053,39 +1202,25 @@ func (r *runShared) dyadicInBudget(w float64, e int) bool {
 // and decodes the fixed-point plaintexts to floats, already divided by
 // the push-sum weight and the dyadic scale 2^Exp. It always returns
 // sideLen coordinates: unpacked ciphertexts decode one each, packed ones
-// unpack into their slots first.
+// unpack into their slots first. The result is the participant's
+// decode buffer, valid until the next decode.
 func (pt *participant) decodeAll() ([]float64, error) {
 	r := pt.run
 	st := pt.diptych.Means
-	// Assemble the per-responder partial sets in ascending share-index
-	// order — the map's iteration order must never reach Combine, or the
-	// responder-set cache keys (and OpCounts profiles) go nondeterministic.
-	responders := pt.sortedResponders()
-	var plains []*big.Int
-	if cc, ok := r.suite.(columnCombiner); ok {
-		// Column fast path: the responder set is resolved once for the
-		// whole pending vector instead of per ciphertext.
-		var err error
-		plains, err = cc.CombineColumns(responders, len(pt.pendingCT))
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// Per-cipher fallback for suites without the extension. The column
-		// is one reused scratch across all pending ciphers — Combine never
-		// retains it.
-		plains = make([]*big.Int, len(pt.pendingCT))
-		parts := make([]Partial, len(responders))
-		for i := range pt.pendingCT {
-			for j, rp := range responders {
-				parts[j] = rp[i]
-			}
-			m, err := r.suite.Combine(parts)
-			if err != nil {
-				return nil, err
-			}
-			plains[i] = m
-		}
+	if pt.plains == nil {
+		pt.plains = make([]*big.Int, r.sideCiphers)
+		pt.decoded = make([]float64, r.sideLen)
+	}
+	plains := pt.plains[:len(pt.pendingCT)]
+	// The opened values may be shared with the partials: drop them once
+	// decoded, so the buffer pins nothing between iterations.
+	defer clear(plains)
+	// pt.partials is already in ascending share-index order — the
+	// deterministic layout the responder-set cache keys (and OpCounts
+	// profiles) depend on. The set is resolved once for the whole
+	// pending vector instead of per ciphertext.
+	if err := r.suite.CombineColumns(plains, pt.partials); err != nil {
+		return nil, err
 	}
 	// Checked once the quorum has combined, where every other decode
 	// failure surfaces, so a failed iteration costs and counts the same
@@ -1097,34 +1232,20 @@ func (pt *participant) decodeAll() ([]float64, error) {
 	if r.layout != nil {
 		return pt.decodePacked(plains, denom)
 	}
-	out := make([]float64, len(plains))
+	out := pt.decoded[:len(plains)]
 	for i, m := range plains {
-		// In-place sign unwrap against the cached M/2 (m is this call's
-		// fresh Combine output, so mutating it is safe).
-		if err := fixedpoint.UnwrapSignedInPlace(m, r.plainMod, r.halfMod); err != nil {
+		// Sign-unwrap a copy: m is read-only (see CombineColumns).
+		signed := pt.scratch.Set(m)
+		if err := fixedpoint.UnwrapSignedInPlace(signed, r.plainMod, r.halfMod); err != nil {
 			return nil, err
 		}
-		v, err := pt.decodeSigned(m, denom, i)
+		v, err := pt.decodeSigned(signed, denom, i)
 		if err != nil {
 			return nil, err
 		}
 		out[i] = v
 	}
 	return out, nil
-}
-
-// sortedResponders lists the collected per-responder partial sets in
-// ascending share-index order, the deterministic layout decodeAll feeds
-// to the combine path.
-func (pt *participant) sortedResponders() [][]Partial {
-	responders := make([][]Partial, 0, len(pt.partials))
-	for _, parts := range pt.partials {
-		responders = append(responders, parts)
-	}
-	sort.Slice(responders, func(a, b int) bool {
-		return responders[a][0].Index < responders[b][0].Index
-	})
-	return responders
 }
 
 // decodePacked unpacks the opened group plaintexts into sideLen

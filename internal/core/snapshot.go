@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 
@@ -29,8 +28,9 @@ import (
 // crypto/rand and the mesh has moved past the ceremony.
 //
 // The hot-path scratch buffers (emit double-buffers, arena vectors,
-// inbox classification slices) are deliberately absent: they are
-// rebuilt lazily on the next activation and hold no trajectory state.
+// posted decrypt asks, decode buffers, inbox classification slices) are
+// deliberately absent: they are rebuilt lazily on the next activation
+// and hold no trajectory state.
 
 const (
 	snapMagic uint32 = 0xC1A85A9B
@@ -106,28 +106,25 @@ func (nd *Node) Snapshot() ([]byte, error) {
 		}
 	}
 
-	// Partials and asked-peers are sets keyed by index/id; sorted so the
-	// snapshot bytes are deterministic (map order is not).
-	idxs := slices.Sorted(maps.Keys(p.partials))
-	st = wire.AppendU32(st, uint32(len(idxs)))
-	for _, idx := range idxs {
-		st = wire.AppendU32(st, uint32(idx))
-		pv, err := nd.codec.MarshalPartialValues(p.partials[idx])
+	// Partials, asked peers and the request window are kept sorted by
+	// index/id, which makes the snapshot bytes deterministic.
+	st = wire.AppendU32(st, uint32(len(p.partials)))
+	for _, set := range p.partials {
+		st = wire.AppendU32(st, uint32(set[0].Index))
+		pv, err := nd.codec.MarshalPartialValues(set)
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot partials: %w", err)
 		}
 		st = wire.AppendBytes(st, pv)
 	}
-	asked := slices.Sorted(maps.Keys(p.asked))
-	st = wire.AppendU32(st, uint32(len(asked)))
-	for _, id := range asked {
+	st = wire.AppendU32(st, uint32(len(p.asked)))
+	for _, id := range p.asked {
 		st = wire.AppendU32(st, uint32(id))
 	}
-	outIDs := slices.Sorted(maps.Keys(p.outstanding))
-	st = wire.AppendU32(st, uint32(len(outIDs)))
-	for _, id := range outIDs {
-		st = wire.AppendU32(st, uint32(id))
-		st = wire.AppendU32(st, uint32(p.outstanding[id]))
+	st = wire.AppendU32(st, uint32(len(p.outstanding)))
+	for _, a := range p.outstanding {
+		st = wire.AppendU32(st, uint32(a.peer))
+		st = wire.AppendU32(st, uint32(a.ttl))
 	}
 
 	st = wire.AppendU32(st, uint32(len(p.history)))
@@ -285,13 +282,14 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 	}
 
 	// The decrypt-phase collections are empty outside that phase; they
-	// are decoded into maps either way and dropped at commit.
+	// are decoded either way and dropped at commit. Each is rebuilt in
+	// sorted order whatever order the snapshot lists it in.
 	decrypt := ph == phaseDecrypt
 	n := d.Count(parties)
 	if n > 0 && !decrypt {
 		d.Failf("partials outside decrypt phase")
 	}
-	partials := make(map[int][]Partial, n)
+	var partials [][]Partial
 	for ; n > 0; n-- {
 		idx := int(d.U32())
 		if idx < 1 || idx > parties {
@@ -301,46 +299,54 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 		d.Fail(err)
 		if len(ps) != r.sideCiphers {
 			d.Failf("partial set of %d values, want %d", len(ps), r.sideCiphers)
+			continue
 		}
-		if _, dup := partials[idx]; dup {
+		i, dup := slices.BinarySearchFunc(partials, idx, cmpPartials)
+		if dup {
 			d.Failf("duplicate partial index %d", idx)
+			continue
 		}
-		partials[idx] = ps
+		partials = slices.Insert(partials, i, ps)
 	}
 
 	nAsked := d.Count(r.population)
 	if nAsked > 0 && !decrypt {
 		d.Failf("asked peers outside decrypt phase")
 	}
-	asked := make(map[p2p.NodeID]bool, nAsked)
+	var asked []p2p.NodeID
 	for n = nAsked; n > 0; n-- {
 		id := p2p.NodeID(d.U32())
 		if int(id) >= r.population {
 			d.Failf("asked id %d outside population %d", id, r.population)
 		}
-		if asked[id] {
+		i, dup := slices.BinarySearch(asked, id)
+		if dup {
 			d.Failf("duplicate asked id %d", id)
+			continue
 		}
-		asked[id] = true
+		asked = slices.Insert(asked, i, id)
 	}
 
 	n = d.Count(nAsked)
 	if n > 0 && !decrypt {
 		d.Failf("outstanding asks outside decrypt phase")
 	}
-	outstanding := make(map[p2p.NodeID]int, n)
+	var outstanding []pendingAsk
 	for ; n > 0; n-- {
 		id := p2p.NodeID(d.U32())
 		ttl := int(d.U32())
-		switch _, dup := outstanding[id]; {
+		_, isAsked := slices.BinarySearch(asked, id)
+		i, dup := slices.BinarySearchFunc(outstanding, id, cmpAsk)
+		switch {
 		case ttl < 1 || ttl > askTTL:
 			d.Failf("outstanding ttl %d outside [1, %d]", ttl, askTTL)
-		case !asked[id]:
+		case !isAsked:
 			d.Failf("outstanding ask for un-asked peer %d", id)
 		case dup:
 			d.Failf("duplicate outstanding id %d", id)
+		default:
+			outstanding = slices.Insert(outstanding, i, pendingAsk{peer: id, ttl: ttl})
 		}
-		outstanding[id] = ttl
 	}
 
 	// The history is what this run disclosed: one record per finished
@@ -390,6 +396,7 @@ func (nd *Node) restoreState(h *snapshotHeader, st []byte) error {
 	p.diptych.Iteration = dipIter
 	p.diptych.Centroids = centroids
 	p.diptych.Means = means
+	p.clearDecrypt()
 	p.pendingCT = pendingCT
 	p.partials = partials
 	p.asked = asked

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"maps"
 	"slices"
 	"testing"
 
@@ -362,16 +361,16 @@ func TestRestoreRejectsImpossibleHistory(t *testing.T) {
 	}
 	p.history = []IterationResult{orig}
 
-	// A duplicate asked id cannot come from a map-backed set, so it is
+	// A duplicate asked id cannot come from the sorted set, so it is
 	// spliced into the encoding: the asked block [n, a, b, ...] becomes
 	// [n, a, a, ...]. The outstanding window is cleared first so only
 	// the duplicate is at fault.
-	p.outstanding = map[p2p.NodeID]int{}
+	p.outstanding = nil
 	snap, err := nd.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	asked := slices.Sorted(maps.Keys(p.asked))
+	asked := p.asked
 	if len(asked) < 2 {
 		t.Fatalf("decrypt-phase node asked %d peers, want at least 2", len(asked))
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"sync/atomic"
 
 	"chiaroscuro/internal/crypto/damgardjurik"
 	"chiaroscuro/internal/wire"
@@ -38,12 +37,7 @@ type djSuite struct {
 	pool    *damgardjurik.RandomizerPool
 	poolCap int
 
-	encrypts        atomic.Int64
-	adds            atomic.Int64
-	halvings        atomic.Int64
-	squarings       atomic.Int64
-	partialDecrypts atomic.Int64
-	combines        atomic.Int64
+	ops opTally
 }
 
 // djPoolCapacity is the default randomizer-pool size for standalone
@@ -143,7 +137,7 @@ func (s *djSuite) CipherBytes() int { return s.tk.CiphertextBytes() }
 // Encrypt implements CipherSuite: fixed-base fast-path encryption with a
 // pooled randomizer (decrypt-identical to the naive ciphertexts).
 func (s *djSuite) Encrypt(m *big.Int) (Cipher, error) {
-	s.encrypts.Add(1)
+	s.ops.at(m).encrypts.Add(1)
 	return s.pool.Encrypt(m)
 }
 
@@ -154,7 +148,7 @@ func (s *djSuite) Add(a, b Cipher) (Cipher, error) {
 	if !ok1 || !ok2 {
 		return nil, errors.New("core: foreign cipher type in damgard-jurik suite")
 	}
-	s.adds.Add(1)
+	s.ops.at(ca).adds.Add(1)
 	return s.tk.Add(ca, cb)
 }
 
@@ -167,7 +161,7 @@ func (s *djSuite) Refresh(c Cipher) (Cipher, error) {
 	if !ok {
 		return nil, errors.New("core: foreign cipher type in damgard-jurik suite")
 	}
-	s.halvings.Add(1)
+	s.ops.at(cc).halvings.Add(1)
 	return s.pool.Rerandomize(cc)
 }
 
@@ -177,7 +171,7 @@ func (s *djSuite) Double(c Cipher, k uint) (Cipher, error) {
 	if !ok {
 		return nil, errors.New("core: foreign cipher type in damgard-jurik suite")
 	}
-	s.squarings.Add(int64(k))
+	s.ops.at(cc).squarings.Add(int64(k))
 	return s.tk.ScalarMul(cc, new(big.Int).Lsh(big.NewInt(1), k))
 }
 
@@ -187,26 +181,30 @@ func (s *djSuite) Parties() int { return s.tk.Parties }
 // Threshold implements CipherSuite.
 func (s *djSuite) Threshold() int { return s.tk.Threshold }
 
-// PartialDecrypt implements CipherSuite.
-func (s *djSuite) PartialDecrypt(party int, c Cipher) (Partial, error) {
-	cc, ok := c.(*big.Int)
-	if !ok {
-		return Partial{}, errors.New("core: foreign cipher type in damgard-jurik suite")
-	}
+// PartialDecrypt implements CipherSuite: one CRT exponentiation per
+// cipher under the party's key share.
+func (s *djSuite) PartialDecrypt(party int, dst []Partial, cs []Cipher) error {
 	if party < 1 || party > len(s.shares) || s.shares[party-1].Value == nil {
-		return Partial{}, fmt.Errorf("core: party %d has no key share", party)
+		return fmt.Errorf("core: party %d has no key share", party)
 	}
-	s.partialDecrypts.Add(1)
-	pd, err := s.tk.PartialDecrypt(s.shares[party-1], cc)
-	if err != nil {
-		return Partial{}, err
+	for i, c := range cs {
+		cc, ok := c.(*big.Int)
+		if !ok {
+			return errors.New("core: foreign cipher type in damgard-jurik suite")
+		}
+		s.ops.at(cc).partialDecrypts.Add(1)
+		pd, err := s.tk.PartialDecrypt(s.shares[party-1], cc)
+		if err != nil {
+			return err
+		}
+		dst[i] = Partial{Index: pd.Index, Value: pd.Value}
 	}
-	return Partial{Index: pd.Index, Value: pd.Value}, nil
+	return nil
 }
 
 // Combine implements CipherSuite.
 func (s *djSuite) Combine(parts []Partial) (*big.Int, error) {
-	s.combines.Add(1)
+	s.ops.at(nil).combines.Add(1)
 	djParts := make([]damgardjurik.PartialDecryption, len(parts))
 	for i, p := range parts {
 		djParts[i] = damgardjurik.PartialDecryption{Index: p.Index, Value: p.Value}
@@ -214,50 +212,50 @@ func (s *djSuite) Combine(parts []Partial) (*big.Int, error) {
 	return s.tk.Combine(djParts)
 }
 
-// CombineColumns implements columnCombiner: it opens count ciphertexts
-// against one responder set, resolving the set's combine plan (Lagrange
-// coefficients, sign split, multiexp digit schedule) once via
-// CombineContext and replaying it per ciphertext. sets beyond the
+// CombineColumns implements CipherSuite: it opens len(dst)
+// ciphertexts against one responder set, resolving the set's combine
+// plan (Lagrange coefficients, sign split, multiexp digit schedule) once
+// via CombineContext and replaying it per ciphertext. sets beyond the
 // threshold are ignored — ascending order means the lowest indices win,
 // exactly the subset Combine's selectPartials would pick.
-func (s *djSuite) CombineColumns(sets [][]Partial, count int) ([]*big.Int, error) {
+func (s *djSuite) CombineColumns(dst []*big.Int, sets [][]Partial) error {
+	count := len(dst)
 	if count < 1 {
-		return nil, errors.New("core: empty cipher column")
+		return errors.New("core: empty cipher column")
 	}
 	if len(sets) < s.tk.Threshold {
-		return nil, fmt.Errorf("core: have %d responder sets, need %d", len(sets), s.tk.Threshold)
+		return fmt.Errorf("core: have %d responder sets, need %d", len(sets), s.tk.Threshold)
 	}
 	use := sets[:s.tk.Threshold]
 	indices := make([]int, len(use))
 	for j, set := range use {
 		if len(set) != count {
-			return nil, fmt.Errorf("core: responder set %d has %d partials, want %d", j, len(set), count)
+			return fmt.Errorf("core: responder set %d has %d partials, want %d", j, len(set), count)
 		}
 		indices[j] = set[0].Index
 	}
 	// CombineContext validates ascending/distinct/in-range indices.
 	ctx, err := s.tk.CombineContext(indices)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]*big.Int, count)
 	col := make([]damgardjurik.PartialDecryption, len(use))
-	for i := 0; i < count; i++ {
+	for i := range dst {
 		for j, set := range use {
 			p := set[i]
 			if p.Value == nil {
-				return nil, errors.New("core: partial with nil value")
+				return errors.New("core: partial with nil value")
 			}
 			col[j] = damgardjurik.PartialDecryption{Index: p.Index, Value: p.Value}
 		}
 		v, err := s.tk.CombineWith(ctx, col)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[i] = v
+		dst[i] = v
 	}
-	s.combines.Add(int64(count))
-	return out, nil
+	s.ops.at(sets[0][0].Value).combines.Add(int64(count))
+	return nil
 }
 
 // MarshalCipherVector implements suiteWireCodec: Damgård–Jurik ciphers
@@ -318,13 +316,7 @@ func (s *djSuite) UnmarshalPartialValues(index int, buf []byte) ([]Partial, erro
 
 // Counts implements CipherSuite.
 func (s *djSuite) Counts() OpCounts {
-	return OpCounts{
-		Encrypts:        s.encrypts.Load(),
-		Adds:            s.adds.Load(),
-		Halvings:        s.halvings.Load(),
-		Squarings:       s.squarings.Load(),
-		PartialDecrypts: s.partialDecrypts.Load(),
-		Combines:        s.combines.Load(),
-		CombineCtxHits:  s.tk.CombineContextHits(),
-	}
+	c := s.ops.counts()
+	c.CombineCtxHits = s.tk.CombineContextHits()
+	return c
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"sync/atomic"
 
 	"chiaroscuro/internal/gossip"
 	"chiaroscuro/internal/vecpool"
@@ -25,12 +24,7 @@ type plainSuite struct {
 	// declared key size, so network accounting matches an encrypted run.
 	cipherBytes int
 
-	encrypts        atomic.Int64
-	adds            atomic.Int64
-	halvings        atomic.Int64
-	squarings       atomic.Int64
-	partialDecrypts atomic.Int64
-	combines        atomic.Int64
+	ops opTally
 }
 
 // plainCipher wraps a residue so foreign types are still detected.
@@ -84,7 +78,7 @@ func (s *plainSuite) Encrypt(m *big.Int) (Cipher, error) {
 	if m == nil {
 		return nil, errors.New("core: nil plaintext")
 	}
-	s.encrypts.Add(1)
+	s.ops.at(m).encrypts.Add(1)
 	if m.Sign() >= 0 && m.Cmp(s.m) < 0 {
 		return plainCipher{v: new(big.Int).Set(m)}, nil
 	}
@@ -99,7 +93,7 @@ func (s *plainSuite) Add(a, b Cipher) (Cipher, error) {
 	if !ok1 || !ok2 {
 		return nil, errors.New("core: foreign cipher type in plain suite")
 	}
-	s.adds.Add(1)
+	s.ops.at(ca.v).adds.Add(1)
 	out := new(big.Int).Add(ca.v, cb.v)
 	if out.Cmp(s.m) >= 0 {
 		out.Sub(out, s.m)
@@ -128,7 +122,7 @@ func (s *plainSuite) AddAll(acc Cipher, vs []Cipher) (Cipher, error) {
 			out.Sub(out, s.m)
 		}
 	}
-	s.adds.Add(int64(len(vs)))
+	s.ops.at(ca.v).adds.Add(int64(len(vs)))
 	return plainCipher{v: out}, nil
 }
 
@@ -139,7 +133,7 @@ func (s *plainSuite) Refresh(c Cipher) (Cipher, error) {
 	if !ok {
 		return nil, errors.New("core: foreign cipher type in plain suite")
 	}
-	s.halvings.Add(1)
+	s.ops.at(cc.v).halvings.Add(1)
 	return plainCipher{v: new(big.Int).Set(cc.v)}, nil
 }
 
@@ -150,7 +144,7 @@ func (s *plainSuite) Double(c Cipher, k uint) (Cipher, error) {
 	if !ok {
 		return nil, errors.New("core: foreign cipher type in plain suite")
 	}
-	s.squarings.Add(int64(k))
+	s.ops.at(cc.v).squarings.Add(int64(k))
 	out := new(big.Int).Set(cc.v)
 	gossip.DoubleModInPlace(out, s.m, k)
 	return plainCipher{v: out}, nil
@@ -176,19 +170,25 @@ func (s *plainSuite) Parties() int { return s.parties }
 // Threshold implements CipherSuite.
 func (s *plainSuite) Threshold() int { return s.threshold }
 
-// PartialDecrypt implements CipherSuite.
-func (s *plainSuite) PartialDecrypt(party int, c Cipher) (Partial, error) {
-	cc, ok := c.(plainCipher)
-	if !ok {
-		return Partial{}, errors.New("core: foreign cipher type in plain suite")
-	}
+// PartialDecrypt implements CipherSuite, accounting the whole vector in
+// one counter update. Each partial shares its cipher's residue instead
+// of copying it: a cipher is not overwritten while a decryption of it is
+// open (docs/ARCHITECTURE.md, decrypt-phase buffers).
+func (s *plainSuite) PartialDecrypt(party int, dst []Partial, cs []Cipher) error {
 	if party < 1 || party > s.parties {
-		return Partial{}, fmt.Errorf("core: party %d has no key share", party)
+		return fmt.Errorf("core: party %d has no key share", party)
 	}
-	s.partialDecrypts.Add(1)
-	// Cipher values are immutable by convention across the suite, so the
-	// partial can share the residue instead of copying it.
-	return Partial{Index: party, Value: cc.v}, nil
+	for i, c := range cs {
+		cc, ok := c.(plainCipher)
+		if !ok {
+			return errors.New("core: foreign cipher type in plain suite")
+		}
+		dst[i] = Partial{Index: party, Value: cc.v}
+	}
+	if len(cs) > 0 {
+		s.ops.at(dst[0].Value).partialDecrypts.Add(int64(len(cs)))
+	}
+	return nil
 }
 
 // Combine implements CipherSuite. It enforces the same threshold
@@ -240,69 +240,62 @@ func (s *plainSuite) Combine(parts []Partial) (*big.Int, error) {
 			return nil, errors.New("core: partial decryptions disagree")
 		}
 	}
-	s.combines.Add(1)
+	s.ops.at(parts[0].Value).combines.Add(1)
 	return new(big.Int).Set(parts[0].Value), nil
 }
 
-// CombineColumns implements columnCombiner: the accounted equivalent of
-// count Combine calls over per-cipher columns of the given responder
+// CombineColumns implements CipherSuite: the accounted equivalent of
+// len(dst) Combine calls over per-cipher columns of the given responder
 // sets. Validation matches Combine — index range, distinctness (here:
 // strictly ascending set order), nil values, and per-column agreement
-// across every responder — and it accounts the same count combines.
-func (s *plainSuite) CombineColumns(sets [][]Partial, count int) ([]*big.Int, error) {
+// across every responder — and it accounts the same len(dst) combines.
+// The opened value of a column is the residue every partial agrees on,
+// so dst[i] is set to that partial value itself: nothing is copied.
+func (s *plainSuite) CombineColumns(dst []*big.Int, sets [][]Partial) error {
+	count := len(dst)
 	if count < 1 {
-		return nil, errors.New("core: empty cipher column")
+		return errors.New("core: empty cipher column")
 	}
 	if len(sets) < s.threshold {
-		return nil, fmt.Errorf("core: have %d partial decryptions, need %d", len(sets), s.threshold)
+		return fmt.Errorf("core: have %d partial decryptions, need %d", len(sets), s.threshold)
 	}
 	prev := 0
 	for j, set := range sets {
 		if len(set) != count {
-			return nil, fmt.Errorf("core: responder set %d has %d partials, want %d", j, len(set), count)
+			return fmt.Errorf("core: responder set %d has %d partials, want %d", j, len(set), count)
 		}
 		idx := set[0].Index
 		if idx < 1 || idx > s.parties {
-			return nil, fmt.Errorf("core: partial with invalid index %d", idx)
+			return fmt.Errorf("core: partial with invalid index %d", idx)
 		}
 		if idx <= prev {
-			return nil, fmt.Errorf("core: responder sets not ascending at index %d", idx)
+			return fmt.Errorf("core: responder sets not ascending at index %d", idx)
 		}
 		prev = idx
 		for _, p := range set {
 			if p.Index != idx {
-				return nil, fmt.Errorf("core: mixed indices in responder set %d", j)
+				return fmt.Errorf("core: mixed indices in responder set %d", j)
 			}
 			if p.Value == nil {
-				return nil, errors.New("core: partial with nil value")
+				return errors.New("core: partial with nil value")
 			}
 		}
 	}
-	out := make([]*big.Int, count)
-	for i := 0; i < count; i++ {
+	for i := range dst {
 		ref := sets[0][i].Value
 		for _, set := range sets {
 			if set[i].Value.Cmp(ref) != 0 {
-				return nil, errors.New("core: partial decryptions disagree")
+				return errors.New("core: partial decryptions disagree")
 			}
 		}
-		out[i] = new(big.Int).Set(ref)
+		dst[i] = ref
 	}
-	s.combines.Add(int64(count))
-	return out, nil
+	s.ops.at(sets[0][0].Value).combines.Add(int64(count))
+	return nil
 }
 
 // Counts implements CipherSuite.
-func (s *plainSuite) Counts() OpCounts {
-	return OpCounts{
-		Encrypts:        s.encrypts.Load(),
-		Adds:            s.adds.Load(),
-		Halvings:        s.halvings.Load(),
-		Squarings:       s.squarings.Load(),
-		PartialDecrypts: s.partialDecrypts.Load(),
-		Combines:        s.combines.Load(),
-	}
-}
+func (s *plainSuite) Counts() OpCounts { return s.ops.counts() }
 
 // --- In-place extension (the zero-allocation gossip hot path) --------------
 //
@@ -340,7 +333,7 @@ func (s *plainSuite) EncryptInto(dst Cipher, m *big.Int) error {
 	if m == nil {
 		return errors.New("core: nil plaintext")
 	}
-	s.encrypts.Add(1)
+	s.ops.at(cd.v).encrypts.Add(1)
 	if m.Sign() >= 0 && m.Cmp(s.m) < 0 {
 		cd.v.Set(m)
 		return nil
@@ -349,14 +342,20 @@ func (s *plainSuite) EncryptInto(dst Cipher, m *big.Int) error {
 	return nil
 }
 
-// RefreshCipherInPlace implements mutCipherSuite: the accounted emit
-// refresh of a message-owned residue — nothing to compute, only the
-// operation to count.
-func (s *plainSuite) RefreshCipherInPlace(c Cipher) error {
-	if _, ok := c.(plainCipher); !ok {
-		return errors.New("core: foreign cipher type in plain suite")
+// RefreshCiphersInPlace implements mutCipherSuite: the accounted emit
+// refresh of a message-owned vector — nothing to compute, only the
+// operations to count, with one atomic add for the whole vector. An
+// atomic add waits for the stores before it, so one per cipher stalled
+// on each residue the emit had just copied.
+func (s *plainSuite) RefreshCiphersInPlace(cs []Cipher) error {
+	for _, c := range cs {
+		if _, ok := c.(plainCipher); !ok {
+			return errors.New("core: foreign cipher type in plain suite")
+		}
 	}
-	s.halvings.Add(1)
+	if len(cs) > 0 {
+		s.ops.at(cs[0].(plainCipher).v).halvings.Add(int64(len(cs)))
+	}
 	return nil
 }
 
@@ -367,7 +366,7 @@ func (s *plainSuite) DoubleCipherInPlace(c Cipher, k uint) error {
 	if !ok {
 		return errors.New("core: foreign cipher type in plain suite")
 	}
-	s.squarings.Add(int64(k))
+	s.ops.at(cc.v).squarings.Add(int64(k))
 	gossip.DoubleModInPlace(cc.v, s.m, k)
 	return nil
 }
@@ -380,7 +379,7 @@ func (s *plainSuite) AddCipherInPlace(acc, v Cipher) error {
 	if !ok1 || !ok2 {
 		return errors.New("core: foreign cipher type in plain suite")
 	}
-	s.adds.Add(1)
+	s.ops.at(ca.v).adds.Add(1)
 	ca.v.Add(ca.v, cv.v)
 	if ca.v.Cmp(s.m) >= 0 {
 		ca.v.Sub(ca.v, s.m)
@@ -405,7 +404,7 @@ func (s *plainSuite) AddAllCipherInPlace(acc Cipher, vs []Cipher) error {
 			ca.v.Sub(ca.v, s.m)
 		}
 	}
-	s.adds.Add(int64(len(vs)))
+	s.ops.at(ca.v).adds.Add(int64(len(vs)))
 	return nil
 }
 

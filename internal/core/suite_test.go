@@ -18,12 +18,19 @@ func suites(t *testing.T) map[string]CipherSuite {
 	return map[string]CipherSuite{"plain": plain, "dj": dj}
 }
 
+// partialOf is party's partial decryption of the single cipher c.
+func partialOf(s CipherSuite, party int, c Cipher) (Partial, error) {
+	var p [1]Partial
+	err := s.PartialDecrypt(party, p[:], []Cipher{c})
+	return p[0], err
+}
+
 // decryptVia opens a cipher with partials from the given parties.
 func decryptVia(t *testing.T, s CipherSuite, c Cipher, parties []int) *big.Int {
 	t.Helper()
 	parts := make([]Partial, len(parties))
 	for i, p := range parties {
-		pd, err := s.PartialDecrypt(p, c)
+		pd, err := partialOf(s, p, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,8 +113,8 @@ func TestSuitesDoubleIsExactRingDouble(t *testing.T) {
 func TestSuitesThresholdEnforced(t *testing.T) {
 	for name, s := range suites(t) {
 		c, _ := s.Encrypt(big.NewInt(5))
-		p1, _ := s.PartialDecrypt(1, c)
-		p2, _ := s.PartialDecrypt(2, c)
+		p1, _ := partialOf(s, 1, c)
+		p2, _ := partialOf(s, 2, c)
 		if _, err := s.Combine([]Partial{p1, p2}); err == nil {
 			t.Fatalf("%s: 2 partials combined despite threshold 3", name)
 		}
@@ -121,10 +128,10 @@ func TestSuitesThresholdEnforced(t *testing.T) {
 func TestSuitesPartyValidation(t *testing.T) {
 	for name, s := range suites(t) {
 		c, _ := s.Encrypt(big.NewInt(5))
-		if _, err := s.PartialDecrypt(0, c); err == nil {
+		if _, err := partialOf(s, 0, c); err == nil {
 			t.Fatalf("%s: party 0 accepted", name)
 		}
-		if _, err := s.PartialDecrypt(6, c); err == nil {
+		if _, err := partialOf(s, 6, c); err == nil {
 			t.Fatalf("%s: party 6 accepted (only 5 shares)", name)
 		}
 	}
@@ -147,7 +154,7 @@ func TestSuitesForeignCipherRejected(t *testing.T) {
 	if _, err := dj.Double(cp, 1); err == nil {
 		t.Fatal("dj double accepted a plain cipher")
 	}
-	if _, err := dj.PartialDecrypt(1, cp); err == nil {
+	if _, err := partialOf(dj, 1, cp); err == nil {
 		t.Fatal("dj partial decrypt accepted a plain cipher")
 	}
 }
@@ -159,9 +166,9 @@ func TestSuitesOpCounting(t *testing.T) {
 		_, _ = s.Add(c, c)
 		_, _ = s.Refresh(c)
 		_, _ = s.Double(c, 3)
-		p, _ := s.PartialDecrypt(1, c)
-		p2, _ := s.PartialDecrypt(2, c)
-		p3, _ := s.PartialDecrypt(3, c)
+		p, _ := partialOf(s, 1, c)
+		p2, _ := partialOf(s, 2, c)
+		p3, _ := partialOf(s, 3, c)
 		_, _ = s.Combine([]Partial{p, p2, p3})
 		after := s.Counts()
 		if after.Encrypts != before.Encrypts+1 ||
@@ -211,8 +218,8 @@ func TestPlainSuiteDisagreeingPartialsRejected(t *testing.T) {
 	}
 	a, _ := s.Encrypt(big.NewInt(1))
 	b, _ := s.Encrypt(big.NewInt(2))
-	pa, _ := s.PartialDecrypt(1, a)
-	pb, _ := s.PartialDecrypt(2, b)
+	pa, _ := partialOf(s, 1, a)
+	pb, _ := partialOf(s, 2, b)
 	if _, err := s.Combine([]Partial{pa, pb}); err == nil {
 		t.Fatal("partials of different ciphertexts combined")
 	}

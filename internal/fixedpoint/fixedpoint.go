@@ -66,23 +66,44 @@ func (c *Codec) FracBits() uint { return c.fracBits }
 
 // Encode converts x into a signed scaled integer round(x * 2^fracBits).
 func (c *Codec) Encode(x float64) (*big.Int, error) {
+	out := new(big.Int)
+	if err := c.EncodeInto(out, x); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// EncodeInto is Encode writing into dst, reusing its storage: the
+// per-coordinate form the protocol hot path uses. dst is left unchanged
+// on error.
+func (c *Codec) EncodeInto(dst *big.Int, x float64) error {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return nil, fmt.Errorf("%w: %v", ErrNotFinite, x)
+		return fmt.Errorf("%w: %v", ErrNotFinite, x)
 	}
 	scaled := x * c.scaleF
 	// For magnitudes within int64, the fast path is exact enough.
 	if math.Abs(scaled) < (1 << 62) {
-		return big.NewInt(int64(math.RoundToEven(scaled))), nil
+		dst.SetInt64(int64(math.RoundToEven(scaled)))
+		return nil
 	}
 	// Slow path via big.Float for extreme magnitudes.
 	f := new(big.Float).SetPrec(256).SetFloat64(x)
 	f.Mul(f, new(big.Float).SetInt(c.scale))
-	out, _ := f.Int(nil)
-	return out, nil
+	f.Int(dst)
+	return nil
 }
 
-// Decode converts a signed scaled integer back to float64.
+// Decode converts a signed scaled integer back to float64. Below 2^53
+// in magnitude v is exact in a float64, and so is its quotient by the
+// power of two 2^fracBits (fracBits ≤ 128 keeps it a normal number), so
+// Ldexp returns exactly the correctly rounded quotient the big.Float
+// path computes — without allocating.
 func (c *Codec) Decode(v *big.Int) float64 {
+	if v.IsInt64() {
+		if i := v.Int64(); i > -1<<53 && i < 1<<53 {
+			return math.Ldexp(float64(i), -int(c.fracBits))
+		}
+	}
 	f := new(big.Float).SetPrec(256).SetInt(v)
 	f.Quo(f, new(big.Float).SetInt(c.scale))
 	out, _ := f.Float64()

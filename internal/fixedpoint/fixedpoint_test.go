@@ -256,3 +256,93 @@ func TestExtremeMagnitudeEncode(t *testing.T) {
 		t.Fatalf("extreme roundtrip: %v vs %v", back, x)
 	}
 }
+
+// decodeOracle is Decode's reference computation: the exact quotient
+// v / 2^fracBits at 256-bit precision, rounded once to float64.
+func decodeOracle(c *Codec, v *big.Int) float64 {
+	f := new(big.Float).SetPrec(256).SetInt(v)
+	f.Quo(f, new(big.Float).SetInt(c.scale))
+	out, _ := f.Float64()
+	return out
+}
+
+// TestDecodeMatchesBigFloatOracle pins Decode's allocation-free fast
+// path to the big.Float computation bit for bit, at the 2^53 boundary
+// where the fast path hands over, at int64 and ring widths, and at
+// random magnitudes, for every supported precision regime.
+func TestDecodeMatchesBigFloatOracle(t *testing.T) {
+	pow := func(k uint) *big.Int { return new(big.Int).Lsh(big.NewInt(1), k) }
+	var vals []*big.Int
+	for _, v := range []*big.Int{
+		big.NewInt(0), big.NewInt(1), big.NewInt(3), big.NewInt(12345),
+		new(big.Int).Sub(pow(53), big.NewInt(1)), pow(53), new(big.Int).Add(pow(53), big.NewInt(1)),
+		pow(63), new(big.Int).Sub(pow(63), big.NewInt(1)), pow(64),
+		new(big.Int).Sub(pow(319), big.NewInt(1)), pow(319), new(big.Int).Sub(pow(319), pow(200)),
+	} {
+		vals = append(vals, v, new(big.Int).Neg(v))
+	}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 400; i++ {
+		v := new(big.Int).Rand(rng, pow(uint(1+rng.Intn(320))))
+		if rng.Intn(2) == 0 {
+			v.Neg(v)
+		}
+		vals = append(vals, v)
+	}
+	for _, fb := range []uint{0, 1, 40, 128} {
+		c := MustNew(fb)
+		for _, v := range vals {
+			got, want := c.Decode(v), decodeOracle(c, v)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("fracBits %d: Decode(%s) = %v (%#x), oracle %v (%#x)", fb, v, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+	c, small := MustNew(40), big.NewInt(-(1<<53 - 1))
+	if allocs := testing.AllocsPerRun(20, func() { c.Decode(small) }); allocs != 0 {
+		t.Fatalf("Decode below 2^53 allocates %.0f objects, want none", allocs)
+	}
+}
+
+// TestEncodeIntoMatchesEncode checks the in-place encoder against
+// Encode on both rounding paths, into a reused destination, and that
+// it leaves dst alone on a non-finite input.
+func TestEncodeIntoMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	xs := []float64{0, 1, -1, 0.5, -0.5, 1.5, 2.5, -2.5, 1e-9, math.MaxFloat64, -math.MaxFloat64, math.Ldexp(1, 70), -math.Ldexp(3, 61)}
+	for i := 0; i < 300; i++ {
+		xs = append(xs, math.Ldexp(rng.NormFloat64(), rng.Intn(200)-100))
+	}
+	for _, fb := range []uint{0, 1, 40, 128} {
+		c := MustNew(fb)
+		dst := new(big.Int)
+		for _, x := range xs {
+			want, err := c.Encode(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.EncodeInto(dst, x); err != nil {
+				t.Fatal(err)
+			}
+			if dst.Cmp(want) != 0 {
+				t.Fatalf("fracBits %d: EncodeInto(%v) = %s, Encode = %s", fb, x, dst, want)
+			}
+		}
+		// Ties round to even, as Encode always did.
+		for _, tie := range []struct {
+			x    float64
+			want int64
+		}{{0.5, 0}, {1.5, 2}, {2.5, 2}, {-0.5, 0}, {-1.5, -2}, {-2.5, -2}} {
+			if err := c.EncodeInto(dst, math.Ldexp(tie.x, -int(fb))); err != nil || !dst.IsInt64() || dst.Int64() != tie.want {
+				t.Fatalf("fracBits %d: EncodeInto(%v·2^-%d) = %s (%v), want %d", fb, tie.x, fb, dst, err, tie.want)
+			}
+		}
+		before := new(big.Int).Set(dst)
+		if err := c.EncodeInto(dst, math.NaN()); !errors.Is(err, ErrNotFinite) {
+			t.Fatalf("EncodeInto(NaN) error = %v", err)
+		}
+		if dst.Cmp(before) != 0 {
+			t.Fatal("EncodeInto changed dst on error")
+		}
+	}
+}

@@ -108,10 +108,12 @@ type MutRing[T any] interface {
 }
 
 // MutRefresher is the in-place form of Refresher, used by a mutable
-// state's prepared emit: RefreshInPlace gives a (message-owned) value a
-// fresh representation of the same value.
+// state's prepared emit: RefreshAllInPlace gives every (message-owned)
+// value of the emitted vector a fresh representation of the same value.
+// It takes the whole vector so a ring can account the refreshes once
+// per emit rather than once per value.
 type MutRefresher[T any] interface {
-	RefreshInPlace(a T)
+	RefreshAllInPlace(vs []T)
 }
 
 // Message is the half-share a node pushes to a peer: the value vector,
@@ -224,9 +226,9 @@ func (s *State[T]) EmitInto(dst *Message[T]) *Message[T] {
 	if s.mut != nil && len(dst.V) == len(s.V) {
 		for i := range s.V {
 			s.mut.SetInPlace(dst.V[i], s.V[i])
-			if s.mref != nil {
-				s.mref.RefreshInPlace(dst.V[i])
-			}
+		}
+		if s.mref != nil {
+			s.mref.RefreshAllInPlace(dst.V)
 		}
 		return dst
 	}

@@ -13,7 +13,7 @@ import (
 //     identical plan), so a logged scenario always replays;
 //   - the parsed plan passes Validate for some population (node ids and
 //     magnitudes are bounded by the grammar, never attacker-chosen
-//     beyond maxSpecCycles);
+//     beyond maxSpecNode and maxSpecCycles);
 //   - nothing panics.
 func FuzzParsePlan(f *testing.F) {
 	f.Add("")
@@ -26,6 +26,7 @@ func FuzzParsePlan(f *testing.F) {
 	f.Add("drop=1;dup=1;delay=1x1")
 	f.Add("outage@0+1=0:reset;outage@0+1=0")
 	f.Add(";;;drop=0.5;;")
+	f.Add("badshare=800000000") // once parsed, then bound a net of 800M nodes
 	f.Fuzz(func(t *testing.T, spec string) {
 		p, err := ParsePlan(spec)
 		if err != nil {

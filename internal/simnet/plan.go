@@ -167,6 +167,12 @@ func ParsePlan(spec string) (*Plan, error) {
 // schedule arithmetic (no realistic scenario comes near it).
 const maxSpecCycles = 1 << 30
 
+// maxSpecNode bounds node ids on their own: binding a plan allocates
+// per-node state for every id up to the largest, so ids share no bound
+// with cycle literals. 2^20 covers the largest population any engine
+// runs (the 1M-participant smoke).
+const maxSpecNode = 1 << 20
+
 func parseProb(s string) (float64, error) {
 	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 	if err != nil || v < 0 || v > 1 || math.IsNaN(v) {
@@ -176,8 +182,13 @@ func parseProb(s string) (float64, error) {
 }
 
 func parseSmallInt(s string) (int, error) {
+	return parseBoundedInt(s, maxSpecCycles)
+}
+
+// parseBoundedInt parses a decimal literal in [0, max].
+func parseBoundedInt(s string, max int) (int, error) {
 	v, err := strconv.Atoi(strings.TrimSpace(s))
-	if err != nil || v < 0 || v > maxSpecCycles {
+	if err != nil || v < 0 || v > max {
 		return 0, fmt.Errorf("simnet: bad integer %q", s)
 	}
 	return v, nil
@@ -205,7 +216,7 @@ func appendNodeFaults(p *Plan, ids string, tpl NodeFault) error {
 		return fmt.Errorf("simnet: %s clause with empty node list", tpl.Kind)
 	}
 	for _, idStr := range strings.Split(ids, ",") {
-		id, err := parseSmallInt(idStr)
+		id, err := parseBoundedInt(idStr, maxSpecNode)
 		if err != nil {
 			return fmt.Errorf("simnet: bad node id %q", idStr)
 		}

@@ -71,11 +71,18 @@ func TestParsePlanErrors(t *testing.T) {
 		"noise*Inf=0",       // non-finite factor
 		"drop=0.1;drop=0.2", // duplicate link clause
 		"seed=abc",
+		"badshare=1048577",    // node id past maxSpecNode
+		"crash@1=0,800000000", // even inside a list
+		"outage@0+1=1048577:reset",
 	}
 	for _, spec := range bad {
 		if _, err := ParsePlan(spec); err == nil {
 			t.Errorf("%q: expected parse error", spec)
 		}
+	}
+	// The bound is inclusive, and cycle literals keep their own, wider one.
+	if _, err := ParsePlan("badshare=1048576;crash@1073741824=0"); err != nil {
+		t.Errorf("ids up to maxSpecNode and cycles up to maxSpecCycles must parse: %v", err)
 	}
 }
 

@@ -250,15 +250,19 @@ func ExponentialSmoothing(s Series, alpha float64) (Series, error) {
 // Clamp limits every element of s into [lo, hi], returning a new series.
 func Clamp(s Series, lo, hi float64) Series {
 	out := make(Series, len(s))
+	copy(out, s)
+	ClampInPlace(out, lo, hi)
+	return out
+}
+
+// ClampInPlace is Clamp overwriting s.
+func ClampInPlace(s Series, lo, hi float64) {
 	for i, v := range s {
 		switch {
 		case v < lo:
-			out[i] = lo
+			s[i] = lo
 		case v > hi:
-			out[i] = hi
-		default:
-			out[i] = v
+			s[i] = hi
 		}
 	}
-	return out
 }
